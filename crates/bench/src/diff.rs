@@ -31,9 +31,54 @@
 //!   `latency_ms` quantiles gate on the wall-clock ratio.
 //!
 //! The module carries its own ~150-line recursive-descent JSON reader
-//! so the bench crate stays dependency-free.
+//! so the bench crate stays dependency-free. The reader also parses
+//! untrusted request bodies for `standby serve`, so its recursion is
+//! bounded: nesting deeper than [`MAX_DEPTH`] is a typed
+//! [`JsonError::TooDeep`], never a stack overflow.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`JsonValue::parse`] accepts. The
+/// campaign documents nest under ten levels; the bound keeps a hostile
+/// body of nested brackets from overflowing a worker's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`JsonValue::parse`] rejected its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the bracket that crossed the limit.
+        at: usize,
+    },
+    /// Malformed JSON: what went wrong, with its byte offset.
+    Syntax(String),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            JsonError::Syntax(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(message: String) -> Self {
+        JsonError::Syntax(message)
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> Self {
+        e.to_string()
+    }
+}
 
 /// A parsed JSON value. Object member order is preserved (the campaign
 /// documents are deterministic, so order is meaningful for diffs).
@@ -58,17 +103,20 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the failure.
-    pub fn parse(s: &str) -> Result<JsonValue, String> {
+    /// [`JsonError::TooDeep`] past [`MAX_DEPTH`] nested arrays/objects;
+    /// otherwise [`JsonError::Syntax`] with the byte offset of the
+    /// failure.
+    pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
+            return Err(format!("trailing data at byte {}", p.pos).into());
         }
         Ok(v)
     }
@@ -112,6 +160,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -147,17 +197,32 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.bytes.get(self.pos) {
-            Some(b'n') => self.lit("null", JsonValue::Null),
-            Some(b't') => self.lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
+            Some(b'n') => Ok(self.lit("null", JsonValue::Null)?),
+            Some(b't') => Ok(self.lit("true", JsonValue::Bool(true))?),
+            Some(b'f') => Ok(self.lit("false", JsonValue::Bool(false))?),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end of input")),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
+            Some(_) => Ok(self.number()?),
+            None => Err(self.err("unexpected end of input").into()),
         }
+    }
+
+    /// Parses one array/object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -230,7 +295,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.eat(b'[', "expected `[`")?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -248,12 +313,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Arr(items));
                 }
-                _ => return Err(self.err("expected `,` or `]`")),
+                _ => return Err(self.err("expected `,` or `]`").into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self) -> Result<JsonValue, JsonError> {
         self.eat(b'{', "expected `{`")?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -276,7 +341,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(JsonValue::Obj(members));
                 }
-                _ => return Err(self.err("expected `,` or `}`")),
+                _ => return Err(self.err("expected `,` or `}`").into()),
             }
         }
     }
@@ -610,6 +675,28 @@ impl Differ {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            JsonValue::parse(&nest(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        // A body of 60 000 open brackets (the serve crash) stops at the
+        // limit instead of recursing through it.
+        assert!(matches!(
+            JsonValue::parse(&"[".repeat(60_000)),
+            Err(JsonError::TooDeep { .. })
+        ));
+        let deep = MAX_DEPTH + 1;
+        let objects = format!("{}1{}", "{\"k\":".repeat(deep), "}".repeat(deep));
+        assert!(matches!(
+            JsonValue::parse(&objects),
+            Err(JsonError::TooDeep { .. })
+        ));
+    }
 
     #[test]
     fn parser_round_trips_document_shapes() {

@@ -12,6 +12,14 @@
 //! and folds every [`SimReport`] into a single running aggregate — fleet
 //! memory is O(shards), not O(devices).
 //!
+//! Devices run at [`ObsLevel::Metrics`]: they record the engine's
+//! counters and histograms but no spans or placement audits, and the
+//! shard folds each device's registry into its own (gauges, being one
+//! device's latest state, are not folded). The folded registry travels
+//! with the shard's journal entry and mid-shard markers, and each
+//! policy's fleet-wide fold lands in the document's
+//! `aggregates[].metrics`.
+//!
 //! Because every `SimReport` field is mergeable (energies and counters
 //! sum, delay means re-weight by count, maxima take the max), a shard's
 //! aggregate *is* a `SimReport` — which lets fleets reuse the campaign
@@ -39,12 +47,12 @@ use simty::core::{HardwareComponent, SimDuration, SimTime};
 use simty::device::energy::EnergyMeter;
 use simty::experiments::PolicyKind;
 use simty::obs::telemetry::{EventKind, TelemetrySink};
-use simty::obs::{Histogram, MetricsRegistry, QuantileSummary};
-use simty::sim::codec::{esc, unesc};
+use simty::obs::{MetricsRegistry, QuantileSummary};
+use simty::sim::codec::{esc, read_registry, unesc, write_registry, KvLines};
 use simty::sim::json::{json_number, json_string, report_to_json};
 use simty::sim::{
-    Checkpoint, CheckpointStore, DelayStats, OverloadStats, ResilienceStats, SimConfig, SimReport,
-    Simulation,
+    Checkpoint, CheckpointStore, DelayStats, ObsLevel, OverloadStats, ResilienceStats, SimConfig,
+    SimReport, Simulation,
 };
 
 use crate::journal::JournalError;
@@ -64,9 +72,16 @@ pub const POWER_BOUNDS: [f64; 8] = [
     60.0, 75.0, 90.0, 105.0, 120.0, 150.0, 200.0, 300.0,
 ];
 
-/// Per-shard observability caps: spans and audits kept per device run.
-/// Fleets shrink these far below the interactive defaults so 100k-device
-/// campaigns keep instrumentation memory O(shards).
+/// Devices folded so far (shard and fleet registries).
+const DEVICES_TOTAL: &str = "fleet_devices_total";
+/// Per-device mean power in mW over [`POWER_BOUNDS`].
+const DEVICE_POWER: &str = "fleet_device_power_mw";
+
+/// Span- and audit-ring capacities for a fleet-shaped device run that
+/// keeps spans on, far below the interactive defaults. The fleet itself
+/// records no spans or audits (its devices run at
+/// [`ObsLevel::Metrics`]); these size instrumented replays of its
+/// devices.
 pub const FLEET_SPAN_CAPACITY: usize = 128;
 /// See [`FLEET_SPAN_CAPACITY`].
 pub const FLEET_AUDIT_CAPACITY: usize = 64;
@@ -86,10 +101,6 @@ pub struct FleetConfig {
     pub duration: SimDuration,
     /// Grace-period factor β shared by every device workload.
     pub beta: f64,
-    /// Span-ring capacity per device run (see [`FLEET_SPAN_CAPACITY`]).
-    pub span_capacity: usize,
-    /// Audit-ring capacity per device run.
-    pub audit_capacity: usize,
     /// Devices between mid-shard checkpoint markers (0 disables; only
     /// effective when the campaign has a journal directory).
     pub checkpoint_stride: u64,
@@ -103,7 +114,7 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A fleet of `devices` devices with the default shape: 4 shards,
     /// NATIVE vs SIMTY, the paper-mix catalog, 10 simulated minutes per
-    /// device, and fleet-bounded observability rings.
+    /// device.
     pub fn new(devices: u64) -> Self {
         FleetConfig {
             devices,
@@ -112,8 +123,6 @@ impl FleetConfig {
             seed: 1,
             duration: SimDuration::from_mins(10),
             beta: 0.96,
-            span_capacity: FLEET_SPAN_CAPACITY,
-            audit_capacity: FLEET_AUDIT_CAPACITY,
             checkpoint_stride: 0,
             catalog: Arc::new(ScenarioCatalog::paper_mix()),
             inject_panic: None,
@@ -160,21 +169,19 @@ pub struct ShardSpec {
     pub end: u64,
 }
 
-/// One device run's outputs: the report plus the instrumentation-ring
-/// eviction counts the bounded fleet rings dropped.
+/// One device run's outputs: the report summary and the metrics
+/// registry it was never rendered from.
 #[derive(Debug, Clone)]
 pub struct DeviceRun {
-    /// The device's full report.
+    /// The device's report, with an empty `metrics_json`.
     pub report: SimReport,
-    /// Spans evicted by the bounded span ring.
-    pub span_evictions: u64,
-    /// Audits evicted by the bounded audit ring.
-    pub audit_evictions: u64,
+    /// The device's metrics ([`ObsLevel::Metrics`]).
+    pub metrics: MetricsRegistry,
 }
 
 /// Runs device `device` of the fleet under `policy`: samples its mix
-/// and seed from the catalog, builds the workload, and simulates it
-/// with fleet-bounded observability rings.
+/// and seed from the catalog, builds the workload, and simulates it at
+/// [`ObsLevel::Metrics`].
 ///
 /// Pure in `(config.seed, device)`: the same device produces the same
 /// report no matter which shard or thread runs it.
@@ -198,20 +205,19 @@ pub fn run_device(config: &FleetConfig, policy: PolicyKind, device: u64) -> Devi
         .build();
     let sim_config = SimConfig::new()
         .with_duration(config.duration)
-        .with_span_capacity(config.span_capacity)
-        .with_audit_capacity(config.audit_capacity);
+        .with_obs(ObsLevel::Metrics);
     let mut sim = Simulation::new(policy.build(), sim_config);
     for alarm in workload.alarms {
         sim.register(alarm)
             .unwrap_or_else(|e| panic!("fleet device {device} failed to register: {e}"));
     }
-    let report = sim.run();
-    let span_evictions = sim.obs().spans().dropped();
-    let audit_evictions = sim.obs().audit_dropped();
+    sim.run_until(SimTime::ZERO + config.duration);
+    let report = sim
+        .try_summary()
+        .unwrap_or_else(|e| panic!("fleet device {device}: {e}"));
     DeviceRun {
         report,
-        span_evictions,
-        audit_evictions,
+        metrics: sim.into_metrics(),
     }
 }
 
@@ -376,53 +382,55 @@ struct ShardProgress {
     /// The next device index to run.
     cursor: u64,
     report: SimReport,
-    devices: u64,
-    span_evictions: u64,
-    audit_evictions: u64,
-    power_hist: Histogram,
+    /// The shard's own series: `fleet_devices_total` and the
+    /// `fleet_device_power_mw` histogram (what lands in the shard
+    /// report's `metrics_json`).
+    fleet: MetricsRegistry,
+    /// The fold of every device's counters and histograms.
+    metrics: MetricsRegistry,
 }
 
 impl ShardProgress {
     fn fresh(spec: &ShardSpec) -> Self {
+        let mut fleet = MetricsRegistry::new();
+        fleet.set_counter(DEVICES_TOTAL, 0);
+        fleet.register_histogram(DEVICE_POWER, POWER_BOUNDS.to_vec());
         ShardProgress {
             cursor: spec.start,
             report: empty_report(&spec.label),
-            devices: 0,
-            span_evictions: 0,
-            audit_evictions: 0,
-            power_hist: Histogram::new(POWER_BOUNDS.to_vec()),
+            fleet,
+            metrics: MetricsRegistry::new(),
         }
     }
 
+    fn devices(&self) -> u64 {
+        self.fleet.counter(DEVICES_TOTAL)
+    }
+
     /// Checkpoint-marker payload: newline-separated `key=value` lines
-    /// with the partial report's exact-bits record escaped inline.
+    /// with the partial report's and registries' exact-bits records
+    /// escaped inline.
     fn encode(&self) -> String {
         format!(
-            "cursor={}\ndevices={}\nspan_evict={}\naudit_evict={}\nehist={}\nreport={}",
+            "cursor={}\nfleet={}\nmetrics={}\nreport={}",
             self.cursor,
-            self.devices,
-            self.span_evictions,
-            self.audit_evictions,
-            esc(&encode_hist(&self.power_hist)),
+            esc(&encode_registry(&self.fleet)),
+            esc(&encode_registry(&self.metrics)),
             esc(&self.report.to_record()),
         )
     }
 
     fn decode(payload: &str, spec: &ShardSpec) -> Option<Self> {
         let mut cursor = None;
-        let mut devices = None;
-        let mut span_evictions = None;
-        let mut audit_evictions = None;
-        let mut power_hist = None;
+        let mut fleet = None;
+        let mut metrics = None;
         let mut report = None;
         for line in payload.lines() {
             let (key, value) = line.split_once('=')?;
             match key {
                 "cursor" => cursor = value.parse::<u64>().ok(),
-                "devices" => devices = value.parse::<u64>().ok(),
-                "span_evict" => span_evictions = value.parse::<u64>().ok(),
-                "audit_evict" => audit_evictions = value.parse::<u64>().ok(),
-                "ehist" => power_hist = decode_hist(&unesc(value)),
+                "fleet" => fleet = decode_fleet_registry(&unesc(value)),
+                "metrics" => metrics = decode_registry(&unesc(value)),
                 "report" => report = SimReport::from_record(&unesc(value)),
                 _ => return None,
             }
@@ -430,10 +438,8 @@ impl ShardProgress {
         let progress = ShardProgress {
             cursor: cursor?,
             report: report?,
-            devices: devices?,
-            span_evictions: span_evictions?,
-            audit_evictions: audit_evictions?,
-            power_hist: power_hist?,
+            fleet: fleet?,
+            metrics: metrics?,
         };
         // A marker from another shard layout (or another fleet entirely)
         // must not be trusted.
@@ -442,93 +448,71 @@ impl ShardProgress {
 
     fn fold_device(&mut self, run: &DeviceRun) {
         fold_report(&mut self.report, &run.report);
-        self.devices += 1;
-        self.span_evictions += run.span_evictions;
-        self.audit_evictions += run.audit_evictions;
-        self.power_hist.observe(run.report.average_power_mw());
+        self.metrics.merge_totals(&run.metrics);
+        self.fleet.inc(DEVICES_TOTAL);
+        self.fleet.observe(DEVICE_POWER, run.report.average_power_mw());
         self.cursor += 1;
     }
 
-    /// The shard's own metrics snapshot (what lands in the shard
-    /// report's `metrics_json`).
-    fn registry(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        registry.describe("fleet", "fleet shard aggregation");
-        registry.add("fleet_devices_total", self.devices);
-        registry.add("fleet_span_evictions_total", self.span_evictions);
-        registry.add("fleet_audit_evictions_total", self.audit_evictions);
-        registry.insert_histogram("fleet_device_power_mw", self.power_hist.clone());
-        registry
-    }
-
     /// The journaled per-cell payload the fleet document is rebuilt
-    /// from after `--resume` (colons inside `ehist` are esc-protected).
+    /// from after `--resume` (separators inside the records are
+    /// esc-protected).
     fn extra(&self) -> String {
         format!(
-            "devices={},span_evict={},audit_evict={},ehist={}",
-            self.devices,
-            self.span_evictions,
-            self.audit_evictions,
-            esc(&encode_hist(&self.power_hist)),
+            "fleet={},metrics={}",
+            esc(&encode_registry(&self.fleet)),
+            esc(&encode_registry(&self.metrics)),
         )
     }
 }
 
-/// `counts:…:overflow|sum-bits-hex` — exact-bits so a journal round
-/// trip reproduces the histogram byte-for-byte.
-fn encode_hist(h: &Histogram) -> String {
-    let counts: Vec<String> = h.counts().iter().map(u64::to_string).collect();
-    format!("{}|{:016x}", counts.join(":"), h.sum().to_bits())
+/// A registry's exact-bits record (the checkpoint body's registry
+/// lines, see [`write_registry`]).
+fn encode_registry(m: &MetricsRegistry) -> String {
+    let mut out = String::new();
+    write_registry(&mut out, m);
+    out
 }
 
-fn decode_hist(s: &str) -> Option<Histogram> {
-    let (counts, sum) = s.split_once('|')?;
-    let counts: Vec<u64> = counts
-        .split(':')
-        .map(str::parse)
-        .collect::<Result<_, _>>()
-        .ok()?;
-    if counts.len() != POWER_BOUNDS.len() + 1 {
-        return None;
-    }
-    let sum = f64::from_bits(u64::from_str_radix(sum, 16).ok()?);
-    let count = counts.iter().sum();
-    Some(Histogram::from_parts(
-        POWER_BOUNDS.to_vec(),
-        counts,
-        sum,
-        count,
-    ))
+fn decode_registry(s: &str) -> Option<MetricsRegistry> {
+    let mut m = MetricsRegistry::new();
+    read_registry(&mut KvLines::new(s), &mut m).ok()?;
+    Some(m)
+}
+
+/// Decodes a shard's own registry, which must carry the power histogram
+/// over [`POWER_BOUNDS`]: partials over other bounds cannot merge.
+fn decode_fleet_registry(s: &str) -> Option<MetricsRegistry> {
+    let m = decode_registry(s)?;
+    (m.histogram(DEVICE_POWER)?.bounds() == POWER_BOUNDS).then_some(m)
 }
 
 /// Per-cell `extra` payload parsed back out of the journal/outcomes.
 struct ShardExtra {
-    devices: u64,
-    span_evictions: u64,
-    audit_evictions: u64,
-    power_hist: Histogram,
+    fleet: MetricsRegistry,
+    metrics: MetricsRegistry,
+}
+
+impl ShardExtra {
+    fn devices(&self) -> u64 {
+        self.fleet.counter(DEVICES_TOTAL)
+    }
 }
 
 fn parse_extra(extra: &str) -> Option<ShardExtra> {
-    let mut devices = None;
-    let mut span = None;
-    let mut audit = None;
-    let mut hist = None;
+    let mut fleet = None;
+    let mut metrics = None;
     for field in extra.split(',') {
         let (key, value) = field.split_once('=')?;
         match key {
-            "devices" => devices = value.parse().ok(),
-            "span_evict" => span = value.parse().ok(),
-            "audit_evict" => audit = value.parse().ok(),
-            "ehist" => hist = decode_hist(&unesc(value)),
+            "fleet" => fleet = decode_fleet_registry(&unesc(value)),
+            "metrics" => metrics = decode_registry(&unesc(value)),
             _ => return None,
         }
     }
     Some(ShardExtra {
-        devices: devices?,
-        span_evictions: span?,
-        audit_evictions: audit?,
-        power_hist: hist?,
+        fleet: fleet?,
+        metrics: metrics?,
     })
 }
 
@@ -575,7 +559,7 @@ fn run_shard(
                 let done_here = progress.cursor - resumed_from;
                 sink.publish(EventKind::ShardHeartbeat {
                     shard: spec.label.clone(),
-                    devices_done: progress.devices,
+                    devices_done: progress.devices(),
                     devices_total: spec.end - spec.start,
                     devices_per_sec: if secs > 0.0 { done_here as f64 / secs } else { 0.0 },
                     cursor: progress.cursor,
@@ -583,7 +567,7 @@ fn run_shard(
             }
         }
     }
-    progress.report.metrics_json = progress.registry().to_json();
+    progress.report.metrics_json = progress.fleet.to_json();
     JobResult {
         extra: Some(progress.extra()),
         report: progress.report,
@@ -605,6 +589,9 @@ pub struct PolicyAggregate {
     /// The fold of every completed shard's aggregate, or `None` when
     /// every shard was poisoned.
     pub report: Option<SimReport>,
+    /// The fold of every completed device's counters and histograms
+    /// (`None` exactly when `report` is).
+    pub metrics: Option<MetricsRegistry>,
 }
 
 /// The results of a fleet campaign.
@@ -635,6 +622,14 @@ impl FleetResults {
     /// supervisor's harness counters.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
+    }
+
+    /// The fold of every device's counters and histograms in shard
+    /// cell `cell` (enqueue order), decoded from the cell's journaled
+    /// payload; `None` for a poisoned cell.
+    pub fn shard_metrics(&self, cell: usize) -> Option<MetricsRegistry> {
+        let extra = self.outcomes().get(cell)?.extra.as_deref()?;
+        parse_extra(extra).map(|e| e.metrics)
     }
 
     /// Supervisor statistics over every shard.
@@ -673,7 +668,7 @@ impl FleetResults {
     /// histogram) and merge-stable across shard groupings.
     pub fn device_power_quantiles(&self) -> Option<QuantileSummary> {
         self.registry
-            .histogram("fleet_device_power_mw")
+            .histogram(DEVICE_POWER)
             .and_then(QuantileSummary::from_histogram)
     }
 
@@ -731,7 +726,8 @@ impl FleetResults {
             }
             let _ = write!(
                 out,
-                "{{\"policy\":{},\"shards_ok\":{},\"shards_poisoned\":{},\"devices\":{},\"report\":{}}}",
+                "{{\"policy\":{},\"shards_ok\":{},\"shards_poisoned\":{},\"devices\":{},\
+                 \"report\":{},\"metrics\":{}}}",
                 json_string(&agg.policy),
                 agg.shards_ok,
                 agg.shards_poisoned,
@@ -739,6 +735,9 @@ impl FleetResults {
                 agg.report
                     .as_ref()
                     .map_or_else(|| "null".to_owned(), report_to_json),
+                agg.metrics
+                    .as_ref()
+                    .map_or_else(|| "null".to_owned(), MetricsRegistry::to_json),
             );
         }
         out.push_str("],\"cells\":[");
@@ -750,7 +749,7 @@ impl FleetResults {
                 .extra
                 .as_deref()
                 .and_then(parse_extra)
-                .map_or(0, |e| e.devices);
+                .map_or(0, |e| e.devices());
             let _ = write!(
                 out,
                 "{{\"label\":{},\"status\":{},\"devices\":{},\"wall_ms\":{}}}",
@@ -867,8 +866,7 @@ pub fn run_fleet_with(
 
     let mut aggregates = Vec::with_capacity(config.policies.len());
     let mut registry = MetricsRegistry::new();
-    registry.describe("fleet", "fleet-wide aggregation");
-    registry.register_histogram("fleet_device_power_mw", POWER_BOUNDS.to_vec());
+    registry.register_histogram(DEVICE_POWER, POWER_BOUNDS.to_vec());
     for (pi, &policy) in config.policies.iter().enumerate() {
         let cells = &sweep_results.outcomes()[pi * config.shards..(pi + 1) * config.shards];
         let mut agg = PolicyAggregate {
@@ -877,6 +875,7 @@ pub fn run_fleet_with(
             shards_poisoned: 0,
             devices: 0,
             report: None,
+            metrics: None,
         };
         for outcome in cells {
             let Some(report) = &outcome.report else {
@@ -893,21 +892,15 @@ pub fn run_fleet_with(
                 }
             }
             if let Some(extra) = outcome.extra.as_deref().and_then(parse_extra) {
-                agg.devices += extra.devices;
-                registry.add("fleet_devices_total", extra.devices);
-                registry.add("fleet_span_evictions_total", extra.span_evictions);
-                registry.add("fleet_audit_evictions_total", extra.audit_evictions);
+                agg.devices += extra.devices();
+                registry.merge_totals(&extra.fleet);
+                agg.metrics
+                    .get_or_insert_with(MetricsRegistry::new)
+                    .merge_totals(&extra.metrics);
             }
         }
         aggregates.push(agg);
     }
-    let mut power = Histogram::new(POWER_BOUNDS.to_vec());
-    for outcome in sweep_results.outcomes() {
-        if let Some(extra) = outcome.extra.as_deref().and_then(parse_extra) {
-            power.merge(&extra.power_hist);
-        }
-    }
-    registry.insert_histogram("fleet_device_power_mw", power);
     // The harness counters are deterministic except journal_skips (how
     // many shards a *this* invocation restored); zero it so the merged
     // registry stays byte-identical across interruptions — the full
@@ -931,6 +924,7 @@ pub fn run_fleet_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simty::sim::codec::f64_hex;
     use std::path::PathBuf;
 
     fn tiny(devices: u64) -> FleetConfig {
@@ -973,12 +967,20 @@ mod tests {
         }
         let decoded = ShardProgress::decode(&progress.encode(), spec).unwrap();
         assert_eq!(decoded.cursor, progress.cursor);
-        assert_eq!(decoded.devices, progress.devices);
+        assert_eq!(decoded.devices(), 2);
         assert_eq!(decoded.report.to_record(), progress.report.to_record());
         assert_eq!(
-            encode_hist(&decoded.power_hist),
-            encode_hist(&progress.power_hist)
+            encode_registry(&decoded.fleet),
+            encode_registry(&progress.fleet)
         );
+        assert_eq!(
+            encode_registry(&decoded.metrics),
+            encode_registry(&progress.metrics)
+        );
+        assert!(progress.metrics.counter("sim_alarm_deliveries_total") > 0);
+        // A power histogram over other bounds cannot merge: rejected.
+        let skewed = progress.encode().replace(&f64_hex(300.0), &f64_hex(301.0));
+        assert!(ShardProgress::decode(&skewed, spec).is_none());
         // A marker for a different shard layout is rejected.
         assert!(ShardProgress::decode(&progress.encode(), &config.specs()[2]).is_none());
     }
@@ -1017,8 +1019,19 @@ mod tests {
             ..CampaignOptions::default()
         };
         let first = run_fleet_with(&config, &options).unwrap();
-        // Mid-shard markers were written (stride 2, shard size 3).
-        assert!(scratch.join("shard-000").is_dir());
+        // Mid-shard markers were written (stride 2, shard size 3), and
+        // each decodes to the progress two devices into its shard.
+        for (index, spec) in config.specs().iter().enumerate() {
+            let dir = scratch.join(format!("shard-{index:03}"));
+            let store = CheckpointStore::open(dir).unwrap();
+            let (marker, _) = store.load_latest_good().unwrap();
+            let payload = marker.marker_payload().unwrap();
+            let progress = ShardProgress::decode(&payload, spec).unwrap();
+            assert_eq!(progress.cursor, spec.start + 2);
+            assert_eq!(progress.devices(), 2);
+            let holds = progress.metrics.histogram("sim_task_hold_ms").unwrap();
+            assert!(holds.count() > 0);
+        }
         let second = run_fleet_with(&config, &options).unwrap();
         assert_eq!(second.journal_skips(), 3);
         assert_eq!(first.deterministic_json(), second.deterministic_json());

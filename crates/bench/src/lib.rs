@@ -33,7 +33,7 @@ pub use chaos::{
 pub use fleet::{
     run_fleet, run_fleet_with, FleetConfig, FleetResults, PolicyAggregate, ShardSpec, FLEET_SCHEMA,
 };
-pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonValue, Regression};
+pub use diff::{diff_documents, DiffReport, DiffThresholds, JsonError, JsonValue, Regression};
 pub use journal::{CampaignJournal, JournalEntry, JournalError};
 pub use supervisor::{CellStatus, HarnessStats, SupervisorConfig};
 pub use soak::{

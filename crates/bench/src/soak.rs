@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use simty::core::{SimDuration, SimTime};
@@ -357,7 +358,14 @@ pub fn run_soak_with(
     specs: &[SoakSpec],
     options: &CampaignOptions,
 ) -> Result<SoakResults, JournalError> {
-    let scratch = std::env::temp_dir().join(format!("simty-soak-{}", std::process::id()));
+    // One scratch directory per campaign: concurrent campaigns in one
+    // process must not share (and remove) each other's snapshots.
+    static CAMPAIGNS: AtomicU64 = AtomicU64::new(0);
+    let scratch = std::env::temp_dir().join(format!(
+        "simty-soak-{}-{}",
+        std::process::id(),
+        CAMPAIGNS.fetch_add(1, Ordering::Relaxed)
+    ));
     let mut sweep = Sweep::new();
     sweep.with_supervisor(options.supervisor);
     if let Some(dir) = &options.journal_dir {

@@ -1,14 +1,18 @@
 //! The fleet-campaign guarantees, end to end: every streamed shard
-//! aggregate equals the fold of independently simulated devices over
-//! arbitrary populations, and a campaign killed mid-flight by a
-//! poisoned shard resumes from its journal to a document byte-identical
-//! to an uninterrupted run, on any thread count.
+//! aggregate and metrics registry equals the fold of independently
+//! simulated devices over arbitrary populations, a shard resumed from
+//! its mid-shard marker folds to the same bytes, and a campaign killed
+//! mid-flight by a poisoned shard resumes from its journal to a
+//! document byte-identical to an uninterrupted run, on any thread
+//! count.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use simty::core::time::SimDuration;
+use simty::obs::MetricsRegistry;
 use simty_bench::fleet::{fold_reports, run_device};
+use simty_bench::journal::JOURNAL_FILE;
 use simty_bench::{run_fleet_with, CampaignOptions, FleetConfig, PolicyKind};
 
 fn unique_dir(tag: &str) -> PathBuf {
@@ -36,8 +40,9 @@ proptest! {
 
     /// The streaming property behind O(shards) memory: for any
     /// population size, shard count, and fleet seed, each shard's
-    /// folded aggregate is bit-identical to re-simulating its devices
-    /// one by one and folding the reports outside the harness.
+    /// folded aggregate and metrics registry are bit-identical to
+    /// re-simulating its devices one by one and folding their reports
+    /// and registries outside the harness.
     #[test]
     fn every_shard_aggregate_equals_the_device_fold(
         devices in 1u64..12,
@@ -49,10 +54,17 @@ proptest! {
             run_fleet_with(&config, &CampaignOptions::with_threads(2)).unwrap();
         prop_assert_eq!(results.devices_completed(), devices);
         for (index, spec) in config.specs().iter().enumerate() {
-            let folded: Vec<_> = (spec.start..spec.end)
-                .map(|d| run_device(&config, spec.policy, d).report)
+            let runs: Vec<_> = (spec.start..spec.end)
+                .map(|d| run_device(&config, spec.policy, d))
                 .collect();
-            let mut expected = fold_reports(&spec.label, folded.iter());
+            let mut metrics = MetricsRegistry::new();
+            for run in &runs {
+                metrics.merge_totals(&run.metrics);
+            }
+            let shard_metrics = results.shard_metrics(index).unwrap();
+            prop_assert_eq!(shard_metrics.to_json(), metrics.to_json());
+            prop_assert_eq!(shard_metrics.gauges().count(), 0);
+            let mut expected = fold_reports(&spec.label, runs.iter().map(|r| &r.report));
             let shard = results.outcomes()[index].report.as_ref().unwrap();
             // The shard carries its observability registry; the
             // re-fold has none. Everything else must match exactly.
@@ -60,6 +72,34 @@ proptest! {
             prop_assert_eq!(shard.to_record(), expected.to_record());
         }
     }
+}
+
+/// A campaign whose journal is lost resumes every shard from its latest
+/// mid-shard marker — the partial report, power histogram and metrics
+/// registry the marker carries — and folds to the same deterministic
+/// document as the uninterrupted run.
+#[test]
+fn resume_from_mid_shard_markers_is_byte_identical() {
+    let config = small_fleet(9, 3, 11);
+    let reference = run_fleet_with(&config, &CampaignOptions::with_threads(1))
+        .unwrap()
+        .deterministic_json();
+    let dir = unique_dir("markers");
+    let options = CampaignOptions {
+        threads: 2,
+        journal_dir: Some(dir.clone()),
+        ..CampaignOptions::default()
+    };
+    let first = run_fleet_with(&config, &options).unwrap();
+    assert_eq!(first.deterministic_json(), reference);
+    // Drop the journal: no shard restores whole, each resumes from the
+    // marker its stride-2 checkpoint left two devices in.
+    std::fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
+    assert!(dir.join("shard-002").is_dir());
+    let resumed = run_fleet_with(&config, &options).unwrap();
+    assert_eq!(resumed.journal_skips(), 0);
+    assert_eq!(resumed.deterministic_json(), reference);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The acceptance scenario: a fleet whose shard 1 is killed by an

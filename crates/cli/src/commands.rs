@@ -178,7 +178,7 @@ BENCH DIFF FLAGS:
     --max-ratio X              wall-clock metrics may grow (throughput may
                                shrink) up to this ratio   [default: 5.0]
     --max-delta-pct X          deterministic values may differ up to this
-                               many percent               [default: 0.5]
+                               many percent (0: exactly)  [default: 0.5]
 
 SWEEP FLAGS:
     --policies LIST            comma-separated policy names (see --policy)
@@ -255,8 +255,6 @@ FLEET FLAGS:
     --minutes N                simulated minutes per device [default: 10]
     --beta X                   grace fraction               [default: 0.96]
     --threads N                worker threads               [default: all cores]
-    --span-cap N               per-device span-ring capacity  [default: 128]
-    --audit-cap N              per-device audit-ring capacity [default: 64]
     --ckpt-stride N            devices between mid-shard checkpoint markers
                                (0 disables; needs --resume)   [default: 1000]
     --deadline SECS            per-shard watchdog deadline: a shard that
@@ -1460,8 +1458,6 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "minutes",
         "beta",
         "threads",
-        "span-cap",
-        "audit-cap",
         "ckpt-stride",
         "deadline",
         "json",
@@ -1482,8 +1478,6 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     let minutes = args.get_u64("minutes", 10)?;
     let beta = args.get_f64("beta", 0.96)?;
     let threads = args.get_u64("threads", simty_bench::sweep::available_threads() as u64)?;
-    let span_cap = args.get_u64("span-cap", simty_bench::fleet::FLEET_SPAN_CAPACITY as u64)?;
-    let audit_cap = args.get_u64("audit-cap", simty_bench::fleet::FLEET_AUDIT_CAPACITY as u64)?;
     let stride = args.get_u64("ckpt-stride", 1_000)?;
     if devices == 0 || shards == 0 || minutes == 0 || threads == 0 {
         return Err(CliError::Usage(
@@ -1498,11 +1492,6 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     if !(0.0..1.0).contains(&beta) {
         return Err(CliError::Usage("--beta must lie in [0, 1)".into()));
     }
-    if span_cap == 0 || audit_cap == 0 {
-        return Err(CliError::Usage(
-            "--span-cap and --audit-cap must be positive".into(),
-        ));
-    }
     let inject_panic = parse_cell_index(args, "inject-panic")?;
 
     let mut config = simty_bench::FleetConfig::new(devices);
@@ -1511,8 +1500,6 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
     config.seed = seed;
     config.duration = SimDuration::from_mins(minutes);
     config.beta = beta;
-    config.span_capacity = span_cap as usize;
-    config.audit_capacity = audit_cap as usize;
     config.checkpoint_stride = stride;
     config.inject_panic = inject_panic;
 
@@ -1539,24 +1526,17 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
         "devices",
         "total (J)",
         "wakeups",
-        "evictions",
         "wall (ms)",
     ]);
     for outcome in results.outcomes() {
         match &outcome.report {
             Some(r) => {
-                let m = r.metrics_json.clone();
-                let evictions = ["fleet_span_evictions_total", "fleet_audit_evictions_total"]
-                    .iter()
-                    .map(|name| metrics_counter(&m, name))
-                    .sum::<u64>();
                 table.row([
                     outcome.label.clone(),
                     outcome.status.token(),
-                    metrics_counter(&m, "fleet_devices_total").to_string(),
+                    metrics_counter(&r.metrics_json, "fleet_devices_total").to_string(),
                     format!("{:.1}", r.energy.total_mj() / 1_000.0),
                     r.cpu_wakeups.to_string(),
-                    evictions.to_string(),
                     format!("{:.1}", outcome.wall.as_secs_f64() * 1_000.0),
                 ]);
             }
@@ -1564,7 +1544,6 @@ fn cmd_fleet<W: Write>(args: &ParsedArgs, out: &mut W) -> Result<(), CliError> {
                 table.row([
                     outcome.label.clone(),
                     "POISONED".to_owned(),
-                    "-".to_owned(),
                     "-".to_owned(),
                     "-".to_owned(),
                     "-".to_owned(),
@@ -1847,7 +1826,13 @@ fn cmd_bench<W: Write>(rest: &[String], out: &mut W) -> Result<(), CliError> {
                 let parsed: f64 = value.parse().map_err(|_| {
                     CliError::Usage(format!("invalid value `{value}` for {arg}"))
                 })?;
-                if !parsed.is_finite() || parsed <= 0.0 {
+                // A zero delta is meaningful: deterministic values must
+                // then match exactly. A zero ratio is not.
+                if arg == "--max-delta-pct" {
+                    if !parsed.is_finite() || parsed < 0.0 {
+                        return Err(CliError::Usage(format!("{arg} must not be negative")));
+                    }
+                } else if !parsed.is_finite() || parsed <= 0.0 {
                     return Err(CliError::Usage(format!("{arg} must be positive")));
                 }
                 if arg == "--max-ratio" {
@@ -2697,9 +2682,12 @@ mod tests {
         ])
         .unwrap();
 
-        // A document diffed against itself is clean.
+        // A document diffed against itself is clean, even when
+        // deterministic values must match exactly.
         let text = run(&["bench", "diff", &doc_str, &doc_str]).unwrap();
         assert!(text.contains("no regressions"), "{text}");
+        let exact = ["bench", "diff", &doc_str, &doc_str, "--max-delta-pct", "0"];
+        assert!(run(&exact).unwrap().contains("no regressions"));
 
         // Inject a deterministic-payload regression (wakeup drift) and
         // the gate must trip with the regression exit class.
@@ -2732,6 +2720,10 @@ mod tests {
             run(&["bench", "diff", &doc_str, &doc_str, "--max-ratio", "zero"]),
             Err(CliError::Usage(_))
         ));
+        for bad in [["--max-ratio", "0"], ["--max-delta-pct", "-1"]] {
+            let args = ["bench", "diff", &doc_str, &doc_str, bad[0], bad[1]];
+            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{bad:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2997,7 +2989,6 @@ mod tests {
             vec!["fleet", "--policies", "bogus"],
             vec!["fleet", "--beta", "1.5"],
             vec!["fleet", "--minutes", "0"],
-            vec!["fleet", "--span-cap", "0"],
             vec!["fleet", "--deadline", "0"],
             vec!["fleet", "--inject-panic", "abc"],
         ] {

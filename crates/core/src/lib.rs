@@ -89,7 +89,7 @@ pub use alarm::{Alarm, AlarmBuilder, AlarmId, AlarmKind, Repeat, GRACE_STRETCH_U
 pub use audit::{CandidateAudit, CandidateVerdict, PlacementAudit};
 pub use entry::{DeliveryDiscipline, QueueEntry};
 pub use hardware::{HardwareComponent, HardwareSet};
-pub use manager::AlarmManager;
+pub use manager::{AlarmManager, PlacementTally};
 pub use policy::{
     AlignmentPolicy, DozePolicy, DurationSimilarityPolicy, ExactPolicy, FixedIntervalPolicy,
     NativePolicy, Placement, SimtyPolicy,

@@ -21,6 +21,16 @@ use crate::policy::{AlignmentPolicy, Placement};
 use crate::queue::AlarmQueue;
 use crate::time::SimTime;
 
+/// Placement decisions counted by outcome (see
+/// [`AlarmManager::take_placement_tally`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlacementTally {
+    /// Decisions that batched the alarm into an existing entry.
+    pub existing: u64,
+    /// Decisions that opened a new entry.
+    pub new_entry: u64,
+}
+
 /// The central wakeup manager.
 ///
 /// # Examples
@@ -51,6 +61,10 @@ pub struct AlarmManager {
     /// When `Some`, every placement decision is recorded here until the
     /// next [`take_audits`](Self::take_audits) drains it.
     audit_sink: Option<Vec<PlacementAudit>>,
+    /// Outcomes of the placement decisions made while auditing was off,
+    /// until the next [`take_placement_tally`](Self::take_placement_tally)
+    /// drains them.
+    tally: PlacementTally,
     /// The degradation governor's current grace multiplier (millis-style
     /// fixed point; [`GRACE_STRETCH_UNIT`] = no stretch). Stamped onto
     /// every alarm at registration/reinsertion so placement sees the
@@ -67,6 +81,7 @@ impl AlarmManager {
             non_wakeup: AlarmQueue::new(),
             now: SimTime::ZERO,
             audit_sink: None,
+            tally: PlacementTally::default(),
             grace_stretch: GRACE_STRETCH_UNIT,
         }
     }
@@ -90,6 +105,7 @@ impl AlarmManager {
             non_wakeup,
             now,
             audit_sink: None,
+            tally: PlacementTally::default(),
             grace_stretch: GRACE_STRETCH_UNIT,
         }
     }
@@ -134,6 +150,14 @@ impl AlarmManager {
             Some(sink) => std::mem::take(sink),
             None => Vec::new(),
         }
+    }
+
+    /// Drains the outcome counts of every placement decision made
+    /// without an audit since the last drain. With auditing on, every
+    /// decision lands in the audit sink instead and the tally stays
+    /// empty, so each decision is counted exactly once.
+    pub fn take_placement_tally(&mut self) -> PlacementTally {
+        std::mem::take(&mut self.tally)
     }
 
     /// The governing policy's display name.
@@ -464,7 +488,12 @@ impl AlarmManager {
             });
             placement
         } else {
-            self.policy.place(queue, &alarm)
+            let placement = self.policy.place(queue, &alarm);
+            match placement {
+                Placement::Existing(_) => self.tally.existing += 1,
+                Placement::NewEntry => self.tally.new_entry += 1,
+            }
+            placement
         };
         let discipline = self.policy.discipline();
         match placement {
@@ -686,9 +715,14 @@ mod tests {
         assert_eq!(audits[1].candidates.len(), 1);
         // Drained; sink refills on the next placement only.
         assert!(m.take_audits().is_empty());
+        // Audited decisions are not tallied too: each counts once.
+        assert_eq!(m.take_placement_tally(), PlacementTally::default());
         m.set_audit_enabled(false);
         m.register(wifi_alarm("c", 200, 600, 0.75)).unwrap();
         assert!(m.take_audits().is_empty());
+        let tally = m.take_placement_tally();
+        assert_eq!(tally.existing + tally.new_entry, 1);
+        assert_eq!(m.take_placement_tally(), PlacementTally::default());
     }
 
     #[test]

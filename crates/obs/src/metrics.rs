@@ -8,9 +8,11 @@
 //! `BTreeMap`-backed, so both the [text exposition](MetricsRegistry::expose)
 //! and the [JSON snapshot](MetricsRegistry::to_json) are byte-deterministic.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-use crate::{json_f64, json_string};
+use crate::{push_json_f64, push_json_string};
 
 /// Default bucket bounds for histograms observed before an explicit
 /// [`MetricsRegistry::register_histogram`] call.
@@ -156,22 +158,27 @@ impl Histogram {
         self.nonfinite
     }
 
-    fn to_json(&self) -> String {
-        let bounds: Vec<String> = self.bounds.iter().map(|&b| json_f64(b)).collect();
-        let counts: Vec<String> = self.counts.iter().map(|c| c.to_string()).collect();
-        let quantiles = match crate::quantile::QuantileSummary::from_histogram(self) {
-            Some(q) => format!(",\"quantiles\":{}", q.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"bounds\":[{}],\"counts\":[{}],\"sum\":{},\"count\":{},\"nonfinite\":{}{}}}",
-            bounds.join(","),
-            counts.join(","),
-            json_f64(self.sum),
-            self.count,
-            self.nonfinite,
-            quantiles
-        )
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"bounds\":");
+        write_list(out, '[', ']', self.bounds.iter(), |out, &b| {
+            push_json_f64(out, b);
+        });
+        out.push_str(",\"counts\":");
+        write_list(out, '[', ']', self.counts.iter(), |out, c| {
+            let _ = write!(out, "{c}");
+        });
+        out.push_str(",\"sum\":");
+        push_json_f64(out, self.sum);
+        let _ = write!(
+            out,
+            ",\"count\":{},\"nonfinite\":{}",
+            self.count, self.nonfinite
+        );
+        if let Some(q) = crate::quantile::QuantileSummary::from_histogram(self) {
+            out.push_str(",\"quantiles\":");
+            q.write_json(out);
+        }
+        out.push('}');
     }
 }
 
@@ -227,7 +234,9 @@ pub struct MetricsRegistry {
     gauge_vals: Vec<f64>,
     hist_slots: BTreeMap<String, usize>,
     hist_vals: Vec<Histogram>,
-    help: BTreeMap<String, String>,
+    /// Family → help text; usually static strings, so registering and
+    /// merging help allocates nothing.
+    help: BTreeMap<Cow<'static, str>, Cow<'static, str>>,
 }
 
 /// Logical equality: same names mapped to the same values, regardless
@@ -249,7 +258,11 @@ impl MetricsRegistry {
 
     /// Registers help text for a metric family (the name *without*
     /// labels), shown as `# HELP` in the exposition.
-    pub fn describe(&mut self, family: impl Into<String>, help: impl Into<String>) {
+    pub fn describe(
+        &mut self,
+        family: impl Into<Cow<'static, str>>,
+        help: impl Into<Cow<'static, str>>,
+    ) {
         self.help.insert(family.into(), help.into());
     }
 
@@ -423,22 +436,47 @@ impl MetricsRegistry {
     /// Panics if a histogram present in both registries has different
     /// bucket bounds.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in other.counters() {
-            self.add(name, value);
+        self.merge_totals(other);
+        let gauges = &mut self.gauge_vals;
+        let missing = merge_join(&self.gauge_slots, &other.gauge_slots, |&i, &j| {
+            gauges[i] = other.gauge_vals[j];
+        });
+        for (name, j) in missing {
+            self.set_gauge(name, other.gauge_vals[*j]);
         }
-        for (name, value) in other.gauges() {
-            self.set_gauge(name, value);
+    }
+
+    /// [`merge`](Self::merge) without the gauges: counters add,
+    /// histograms merge, help text is unioned, and `self`'s gauges are
+    /// left alone. This folds run totals, where a gauge (one run's
+    /// latest state) has no meaningful sum.
+    ///
+    /// Both registries are walked once in name order, so when they hold
+    /// the same series — every run of one engine does — the fold is a
+    /// slot-wise addition with no lookups or allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a histogram present in both registries has different
+    /// bucket bounds.
+    pub fn merge_totals(&mut self, other: &MetricsRegistry) {
+        let counters = &mut self.counter_vals;
+        let missing = merge_join(&self.counter_slots, &other.counter_slots, |&i, &j| {
+            counters[i] += other.counter_vals[j];
+        });
+        for (name, j) in missing {
+            self.add(name, other.counter_vals[*j]);
         }
-        for (name, theirs) in other.histograms() {
-            match self.hist_slots.get(name) {
-                Some(&i) => self.hist_vals[i].merge(theirs),
-                None => self.insert_histogram(name, theirs.clone()),
-            }
+        let hists = &mut self.hist_vals;
+        let missing = merge_join(&self.hist_slots, &other.hist_slots, |&i, &j| {
+            hists[i].merge(&other.hist_vals[j]);
+        });
+        for (name, j) in missing {
+            self.insert_histogram(name, other.hist_vals[*j].clone());
         }
-        for (family, help) in &other.help {
-            self.help
-                .entry(family.clone())
-                .or_insert_with(|| help.clone());
+        let missing = merge_join(&self.help, &other.help, |_, _| {});
+        for (family, help) in missing {
+            self.help.insert(family.clone(), help.clone());
         }
     }
 
@@ -448,96 +486,143 @@ impl MetricsRegistry {
     /// lexicographic order. Fully deterministic.
     pub fn expose(&self) -> String {
         let mut out = String::new();
-        let mut last_family = String::new();
+        let mut last_family = "";
         for (name, value) in self.counters() {
             self.header(&mut out, name, "counter", &mut last_family);
-            out.push_str(&format!("{name} {value}\n"));
+            let _ = writeln!(out, "{name} {value}");
         }
         for (name, value) in self.gauges() {
             self.header(&mut out, name, "gauge", &mut last_family);
-            out.push_str(&format!("{name} {}\n", expose_f64(value)));
+            let _ = writeln!(out, "{name} {}", ExposeF64(value));
         }
         for (name, h) in self.histograms() {
             self.header(&mut out, name, "histogram", &mut last_family);
             let (family, labels) = split_name(name);
-            let with = |le: &str| match labels {
-                Some(l) => format!("{family}_bucket{{{l},le=\"{le}\"}}"),
-                None => format!("{family}_bucket{{le=\"{le}\"}}"),
-            };
-            let suffixed = |suffix: &str| match labels {
-                Some(l) => format!("{family}_{suffix}{{{l}}}"),
-                None => format!("{family}_{suffix}"),
+            let bucket = |out: &mut String, le: &dyn fmt::Display, value: u64| {
+                let _ = match labels {
+                    Some(l) => writeln!(out, "{family}_bucket{{{l},le=\"{le}\"}} {value}"),
+                    None => writeln!(out, "{family}_bucket{{le=\"{le}\"}} {value}"),
+                };
             };
             let mut cumulative = 0;
             for (i, &bound) in h.bounds().iter().enumerate() {
                 cumulative += h.counts()[i];
-                out.push_str(&format!("{} {cumulative}\n", with(&expose_f64(bound))));
+                bucket(&mut out, &ExposeF64(bound), cumulative);
             }
-            out.push_str(&format!("{} {}\n", with("+Inf"), h.count()));
-            out.push_str(&format!("{} {}\n", suffixed("sum"), expose_f64(h.sum())));
-            out.push_str(&format!("{} {}\n", suffixed("count"), h.count()));
-            out.push_str(&format!("{} {}\n", suffixed("nonfinite"), h.nonfinite()));
+            bucket(&mut out, &"+Inf", h.count());
+            let suffixed = |out: &mut String, suffix: &str, value: &dyn fmt::Display| {
+                let _ = match labels {
+                    Some(l) => writeln!(out, "{family}_{suffix}{{{l}}} {value}"),
+                    None => writeln!(out, "{family}_{suffix} {value}"),
+                };
+            };
+            suffixed(&mut out, "sum", &ExposeF64(h.sum()));
+            suffixed(&mut out, "count", &h.count());
+            suffixed(&mut out, "nonfinite", &h.nonfinite());
             if let Some(q) = crate::quantile::QuantileSummary::from_histogram(h) {
-                out.push_str(&format!("{} {}\n", suffixed("q50"), expose_f64(q.q50)));
-                out.push_str(&format!("{} {}\n", suffixed("q90"), expose_f64(q.q90)));
-                out.push_str(&format!("{} {}\n", suffixed("q99"), expose_f64(q.q99)));
-                out.push_str(&format!("{} {}\n", suffixed("max"), expose_f64(q.max)));
+                suffixed(&mut out, "q50", &ExposeF64(q.q50));
+                suffixed(&mut out, "q90", &ExposeF64(q.q90));
+                suffixed(&mut out, "q99", &ExposeF64(q.q99));
+                suffixed(&mut out, "max", &ExposeF64(q.max));
             }
         }
         out
     }
 
-    fn header(&self, out: &mut String, name: &str, kind: &str, last_family: &mut String) {
+    fn header<'a>(&self, out: &mut String, name: &'a str, kind: &str, last_family: &mut &'a str) {
         let (family, _) = split_name(name);
-        if family != last_family {
+        if family != *last_family {
             if let Some(help) = self.help.get(family) {
-                out.push_str(&format!("# HELP {family} {help}\n"));
+                let _ = writeln!(out, "# HELP {family} {help}");
             }
-            out.push_str(&format!("# TYPE {family} {kind}\n"));
-            *last_family = family.to_owned();
+            let _ = writeln!(out, "# TYPE {family} {kind}");
+            *last_family = family;
         }
     }
 
     /// Renders the registry as one deterministic JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(name), value));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(name), json_f64(value)));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_string(name), h.to_json()));
-        }
-        out.push_str("}}");
+        let mut out = String::from("{\"counters\":");
+        write_list(&mut out, '{', '}', self.counters(), |out, (name, v)| {
+            push_json_string(out, name);
+            let _ = write!(out, ":{v}");
+        });
+        out.push_str(",\"gauges\":");
+        write_list(&mut out, '{', '}', self.gauges(), |out, (name, v)| {
+            push_json_string(out, name);
+            out.push(':');
+            push_json_f64(out, v);
+        });
+        out.push_str(",\"histograms\":");
+        write_list(&mut out, '{', '}', self.histograms(), |out, (name, h)| {
+            push_json_string(out, name);
+            out.push(':');
+            h.write_json(out);
+        });
+        out.push('}');
         out
     }
 }
 
+/// Appends `items` to `out` between `open` and `close`, comma-separated,
+/// each rendered by `item`.
+fn write_list<T>(
+    out: &mut String,
+    open: char,
+    close: char,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push(open);
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(close);
+}
+
+/// Walks two name-sorted maps in lockstep: calls `both(mine, theirs)`
+/// with each side's value for every name the two share, and returns the
+/// names (with `theirs`' value) that only `theirs` holds.
+fn merge_join<'t, K: Ord, A, B>(
+    mine: &BTreeMap<K, A>,
+    theirs: &'t BTreeMap<K, B>,
+    mut both: impl FnMut(&A, &B),
+) -> Vec<(&'t K, &'t B)> {
+    let mut missing = Vec::new();
+    let mut mine = mine.iter().peekable();
+    for (name, b) in theirs {
+        while mine.next_if(|(k, _)| *k < name).is_some() {}
+        match mine.peek() {
+            Some((k, a)) if *k == name => {
+                both(a, b);
+                mine.next();
+            }
+            _ => missing.push((name, b)),
+        }
+    }
+    missing
+}
+
 /// Formats an `f64` for the text exposition (`+Inf`/`-Inf`/`NaN` in
 /// Prometheus style, shortest round-trip decimal otherwise).
-fn expose_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "+Inf".to_owned()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_owned()
-    } else if v.is_nan() {
-        "NaN".to_owned()
-    } else {
-        format!("{v}")
+struct ExposeF64(f64);
+
+impl fmt::Display for ExposeF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v == f64::INFINITY {
+            f.write_str("+Inf")
+        } else if v == f64::NEG_INFINITY {
+            f.write_str("-Inf")
+        } else if v.is_nan() {
+            f.write_str("NaN")
+        } else {
+            write!(f, "{v}")
+        }
     }
 }
 
@@ -682,6 +767,33 @@ h_max 2
         let h = left.histogram("h").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.counts(), &[1, 1, 1]);
+    }
+
+    #[test]
+    fn merge_totals_folds_counters_and_histograms_but_not_gauges() {
+        let run = |n: u64| {
+            let mut m = MetricsRegistry::new();
+            m.describe("c", "a counter");
+            m.add("c", n);
+            m.add(&format!("only{n}"), n);
+            m.set_gauge("g", n as f64);
+            m.register_histogram("h", vec![1.0, 2.0]);
+            m.observe("h", n as f64);
+            m
+        };
+        let mut totals = MetricsRegistry::new();
+        let mut full = MetricsRegistry::new();
+        for n in 1..=3 {
+            totals.merge_totals(&run(n));
+            full.merge(&run(n));
+        }
+        assert_eq!(totals.counter("c"), 6);
+        assert_eq!(totals.counter("only2"), 2);
+        assert_eq!(totals.gauges().count(), 0);
+        assert!(totals.counters().eq(full.counters()));
+        assert!(totals.histograms().eq(full.histograms()));
+        assert_eq!(totals.histogram("h").unwrap().counts(), &[1, 1, 1]);
+        assert!(totals.expose().contains("# HELP c a counter"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   quantiles from a raw sample slice (used for per-cell `wall_ms`,
 //!   where campaigns hold every sample anyway).
 
-use crate::{json_f64, Histogram};
+use crate::{push_json_f64, Histogram};
 
 /// A p50/p90/p99/max digest, rendered into campaign document headers
 /// and (per histogram family) into the text exposition as
@@ -98,13 +98,26 @@ impl QuantileSummary {
 
     /// Renders the digest as `{"q50":..,"q90":..,"q99":..,"max":..}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"q50\":{},\"q90\":{},\"q99\":{},\"max\":{}}}",
-            json_f64(self.q50),
-            json_f64(self.q90),
-            json_f64(self.q99),
-            json_f64(self.max)
-        )
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](Self::to_json)'s rendering to `out`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        let fields = [
+            ("q50", self.q50),
+            ("q90", self.q90),
+            ("q99", self.q99),
+            ("max", self.max),
+        ];
+        for (i, (key, v)) in fields.into_iter().enumerate() {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(key);
+            out.push_str("\":");
+            push_json_f64(out, v);
+        }
+        out.push('}');
     }
 }
 

@@ -618,7 +618,7 @@ fn parse_body(req: &Request) -> Result<JsonValue, Response> {
         Response::error_json(400, "Bad Request", "bad-body", "body is not UTF-8")
     })?;
     JsonValue::parse(text).map_err(|e| {
-        Response::error_json(400, "Bad Request", "bad-json", &e)
+        Response::error_json(400, "Bad Request", "bad-json", &e.to_string())
     })
 }
 

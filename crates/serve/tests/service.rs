@@ -99,6 +99,25 @@ fn end_to_end_register_query_cancel_and_metrics() {
     assert_eq!(drain.accepted, drain.completed);
 }
 
+/// A body of 60 000 `[` once overflowed a worker's stack in the JSON
+/// reader and aborted the whole server. It is now a typed 400, and the
+/// server keeps serving.
+#[test]
+fn deeply_nested_json_is_a_typed_400_and_the_server_keeps_serving() {
+    let handle = spawn(ServeConfig::default()).expect("spawn");
+    let addr = handle.addr().to_string();
+    let nested = post(&addr, "/v1/register", &"[".repeat(60_000));
+    assert_eq!(status_of(&nested), 400, "nested body: {nested}");
+    assert!(nested.contains("bad-json"), "nested body: {nested}");
+    assert_eq!(status_of(&get(&addr, "/healthz")), 200);
+    let reg = post(&addr, "/v1/register", &register_body("mail", 60_000));
+    assert_eq!(status_of(&reg), 200, "register after the bad body: {reg}");
+    handle.shutdown();
+    let drain = handle.join();
+    assert_eq!(drain.invariant_violations, 0);
+    assert_eq!(drain.accepted, drain.completed);
+}
+
 #[test]
 fn admission_storm_yields_429_with_retry_after() {
     let handle = spawn(ServeConfig::default()).expect("spawn");

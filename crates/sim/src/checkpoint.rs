@@ -54,10 +54,10 @@ use simty_device::energy::EnergyMeter;
 use simty_device::monsoon::PowerTrace;
 use simty_device::power::{ComponentPower, PowerModel};
 use simty_device::wakelock::WakeLockTable;
-use simty_obs::{Histogram, Span, SpanCollector, SpanKind, StageProfile};
+use simty_obs::{Span, SpanCollector, SpanKind, StageProfile};
 
 use crate::attribution::{ActiveTask, AttributionLedger};
-use crate::config::{InvariantMode, SimConfig};
+use crate::config::{InvariantMode, ObsLevel, SimConfig};
 use crate::degrade::{DegradationGovernor, DegradationTier, GovernorConfig};
 use crate::engine::{RetrySlot, Simulation, TaskHold};
 use crate::event::{Event, EventKind, EventQueue};
@@ -181,7 +181,7 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-use crate::codec::{esc, f64_hex, fnv1a64, unesc};
+use crate::codec::{esc, f64_hex, fnv1a64, read_registry, unesc, write_registry, KvLines};
 
 /// One captured snapshot: the serialized body plus the two fields needed
 /// to identify it without a full parse.
@@ -704,10 +704,12 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
     if sim.config.span_capacity != SPAN_CAPACITY {
         w!(body, "span_capacity={}", sim.config.span_capacity);
     }
-    // Written only when observability is off: instrumented captures keep
-    // the original byte layout, and restore treats absence as "on".
-    if !sim.config.obs {
-        w!(body, "obs=0");
+    // Written only below the default level: `Spans` captures keep the
+    // original byte layout, and restore treats absence as `Spans`.
+    match sim.config.obs {
+        ObsLevel::Off => w!(body, "obs=0"),
+        ObsLevel::Metrics => w!(body, "obs=metrics"),
+        ObsLevel::Spans => {}
     }
     w!(body, "external_wakes={}", sim.config.external_wakes.len());
     for t in &sim.config.external_wakes {
@@ -1114,36 +1116,7 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
         }
         w!(body, "{line}");
     }
-    let counters: Vec<_> = obs.metrics.counters().collect();
-    w!(body, "obs_counters={}", counters.len());
-    for (name, value) in counters {
-        w!(body, "oc={value},{}", esc(name));
-    }
-    let gauges: Vec<_> = obs.metrics.gauges().collect();
-    w!(body, "obs_gauges={}", gauges.len());
-    for (name, value) in gauges {
-        w!(body, "og={},{}", f64_hex(value), esc(name));
-    }
-    let hists: Vec<_> = obs.metrics.histograms().collect();
-    w!(body, "obs_hists={}", hists.len());
-    for (name, h) in hists {
-        let mut line = format!("oh={},{}", esc(name), h.bounds().len());
-        for b in h.bounds() {
-            line.push(',');
-            line.push_str(&f64_hex(*b));
-        }
-        for c in h.counts() {
-            line.push(',');
-            line.push_str(&c.to_string());
-        }
-        line.push(',');
-        line.push_str(&f64_hex(h.sum()));
-        line.push(',');
-        line.push_str(&h.count().to_string());
-        line.push(',');
-        line.push_str(&h.nonfinite().to_string());
-        w!(body, "{line}");
-    }
+    write_registry(&mut body, &obs.metrics);
     w!(body, "obs_audit_dropped={}", obs.audit_dropped);
     w!(body, "obs_audits={}", obs.audits.len());
     for a in &obs.audits {
@@ -1203,52 +1176,25 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
 
 /// A line-oriented `key=value` parser over a checkpoint body.
 struct Parser<'a> {
-    lines: std::str::Lines<'a>,
-    line_no: usize,
+    src: KvLines<'a>,
 }
 
 impl<'a> Parser<'a> {
     fn new(body: &'a str) -> Self {
         Parser {
-            lines: body.lines(),
-            line_no: 0,
+            src: KvLines::new(body),
         }
     }
 
     fn err(&self, message: impl Into<String>) -> CheckpointError {
         CheckpointError::Malformed {
-            line: self.line_no,
+            line: self.src.line_no(),
             message: message.into(),
         }
     }
 
-    /// Consumes the next line only if it is `key=...`, returning its
-    /// value; leaves the parser untouched otherwise. For keys newer
-    /// captures may write that older bodies lack.
-    fn opt_kv(&mut self, key: &str) -> Option<&'a str> {
-        let mut look = self.lines.clone();
-        let (k, v) = look.next()?.split_once('=')?;
-        if k != key {
-            return None;
-        }
-        self.lines = look;
-        self.line_no += 1;
-        Some(v)
-    }
-
     fn kv(&mut self, key: &str) -> Result<&'a str, CheckpointError> {
-        let line = self.lines.next().ok_or_else(|| CheckpointError::Malformed {
-            line: self.line_no + 1,
-            message: format!("unexpected end of body (wanted `{key}`)"),
-        })?;
-        self.line_no += 1;
-        let (k, v) = line
-            .split_once('=')
-            .ok_or_else(|| self.err(format!("expected `{key}=...`, found `{line}`")))?;
-        if k != key {
-            return Err(self.err(format!("expected key `{key}`, found `{k}`")));
-        }
-        Ok(v)
+        self.src.kv(key).map_err(|m| self.err(m))
     }
 
     fn u64_of(&self, s: &str) -> Result<u64, CheckpointError> {
@@ -1649,12 +1595,17 @@ pub(crate) fn restore(
         p.usize_of(v)?
     };
     // Optional: only non-default captures carry it.
-    let span_capacity = match p.opt_kv("span_capacity") {
+    let span_capacity = match p.src.opt_kv("span_capacity") {
         Some(v) => p.usize_of(v)?,
         None => SPAN_CAPACITY,
     };
-    // Optional: only no-obs captures carry it (absence means "on").
-    let obs_enabled = p.opt_kv("obs").is_none_or(|v| v != "0");
+    // Optional: only captures below the default level carry it.
+    let obs = match p.src.opt_kv("obs") {
+        None => ObsLevel::Spans,
+        Some("0") => ObsLevel::Off,
+        Some("metrics") => ObsLevel::Metrics,
+        Some(other) => return Err(p.err(format!("invalid observability level `{other}`"))),
+    };
     let n = p.count("external_wakes")?;
     let mut external_wakes = Vec::with_capacity(n);
     for _ in 0..n {
@@ -1748,7 +1699,7 @@ pub(crate) fn restore(
         span_capacity,
         admission: admission_cfg,
         degradation: degradation_cfg,
-        obs: obs_enabled,
+        obs,
     };
 
     // Alarm manager.
@@ -1758,7 +1709,7 @@ pub(crate) fn restore(
     let non_wakeup = p.queue("non_wakeup_entries")?;
     let mut manager = AlarmManager::restore(policy, wakeup, non_wakeup, mgr_clock);
     manager.restore_grace_stretch(mgr_stretch);
-    manager.set_audit_enabled(obs_enabled);
+    manager.set_audit_enabled(obs == ObsLevel::Spans);
 
     // Device.
     let state = {
@@ -2190,12 +2141,13 @@ pub(crate) fn restore(
     // Observability layer: re-register the families (help text, zeroed
     // counters, histogram bounds), then overwrite with the captured
     // state — the union is byte-identical to the straight-through run.
-    // A no-obs capture recorded an empty layer; rebuild it empty too.
-    let mut obs = if config.obs {
-        ObsLayer::new(&checkpoint.policy, config.audit_capacity, config.span_capacity)
-    } else {
-        ObsLayer::disabled(&checkpoint.policy, config.audit_capacity, config.span_capacity)
-    };
+    // An `Off` capture recorded an empty layer; rebuild it empty too.
+    let mut obs = ObsLayer::new(
+        &checkpoint.policy,
+        config.obs,
+        config.audit_capacity,
+        config.span_capacity,
+    );
     let obs_next_seq = p.kv_u64("obs_next_seq")?;
     let obs_span_dropped = p.kv_u64("obs_span_dropped")?;
     let n = p.count("obs_spans")?;
@@ -2233,58 +2185,7 @@ pub(crate) fn restore(
     }
     obs.spans =
         SpanCollector::from_parts(config.span_capacity, obs_next_seq, obs_span_dropped, spans);
-    let n = p.count("obs_counters")?;
-    for _ in 0..n {
-        let v = p.kv("oc")?;
-        let f = p.fields(v, 2)?;
-        obs.metrics.set_counter(&unesc(f[1]), p.u64_of(f[0])?);
-    }
-    let n = p.count("obs_gauges")?;
-    for _ in 0..n {
-        let v = p.kv("og")?;
-        let f = p.fields(v, 2)?;
-        obs.metrics.set_gauge(&unesc(f[1]), p.f64_of(f[0])?);
-    }
-    let n = p.count("obs_hists")?;
-    for _ in 0..n {
-        let v = p.kv("oh")?;
-        let parts: Vec<&str> = v.split(',').collect();
-        if parts.len() < 2 {
-            return Err(p.err("histogram needs at least a name and a bound count"));
-        }
-        let name = unesc(parts[0]);
-        let nb = p.usize_of(parts[1])?;
-        // name, bound count, bounds, counts (one overflow bucket), sum,
-        // count, plus an optional trailing non-finite quarantine count
-        // (absent in pre-quantile checkpoints).
-        let want = 2 + nb + (nb + 1) + 2;
-        if parts.len() != want && parts.len() != want + 1 {
-            return Err(p.err(format!(
-                "histogram with {nb} bounds expects {want} or {} fields, got {}",
-                want + 1,
-                parts.len()
-            )));
-        }
-        let mut bounds = Vec::with_capacity(nb);
-        for raw in &parts[2..2 + nb] {
-            bounds.push(p.f64_of(raw)?);
-        }
-        let mut counts = Vec::with_capacity(nb + 1);
-        for raw in &parts[2 + nb..2 + nb + nb + 1] {
-            counts.push(p.u64_of(raw)?);
-        }
-        let sum = p.f64_of(parts[want - 2])?;
-        let count = p.u64_of(parts[want - 1])?;
-        let nonfinite = if parts.len() == want + 1 {
-            p.u64_of(parts[want])?
-        } else {
-            0
-        };
-        obs.metrics.insert_histogram(
-            &name,
-            Histogram::from_parts(bounds, counts, sum, count).with_nonfinite(nonfinite),
-        );
-    }
+    read_registry(&mut p.src, &mut obs.metrics).map_err(|m| p.err(m))?;
     obs.audit_dropped = p.kv_u64("obs_audit_dropped")?;
     let n = p.count("obs_audits")?;
     for _ in 0..n {

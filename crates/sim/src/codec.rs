@@ -7,7 +7,14 @@
 //! reserved characters percent-escaped, `f64`s persisted as their exact
 //! 16-hex-digit bit patterns, and bodies checksummed with FNV-1a 64.
 //! This module is the single home of those primitives so every consumer
-//! stays byte-compatible.
+//! stays byte-compatible, and of the one exact-bits
+//! [`MetricsRegistry`] codec ([`write_registry`] / [`read_registry`])
+//! that both the checkpoint body and the fleet's shard state use.
+
+use std::fmt::Write as _;
+use std::str::FromStr;
+
+use simty_obs::{Histogram, MetricsRegistry};
 
 /// FNV-1a 64-bit, the body/record checksum.
 #[must_use]
@@ -81,6 +88,179 @@ pub fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
+/// A cursor over a body of `key=value` lines that counts the lines it
+/// consumed, so readers can report where a body went wrong.
+#[derive(Debug, Clone)]
+pub struct KvLines<'a> {
+    lines: std::str::Lines<'a>,
+    line_no: usize,
+}
+
+impl<'a> KvLines<'a> {
+    /// A cursor at the first line of `body`.
+    #[must_use]
+    pub fn new(body: &'a str) -> Self {
+        KvLines {
+            lines: body.lines(),
+            line_no: 0,
+        }
+    }
+
+    /// The 1-based number of the last line consumed (or attempted).
+    #[must_use]
+    pub fn line_no(&self) -> usize {
+        self.line_no
+    }
+
+    /// Consumes the next line only if it is `key=...`, returning its
+    /// value; leaves the cursor untouched otherwise. For keys newer
+    /// writers may emit that older bodies lack.
+    pub fn opt_kv(&mut self, key: &str) -> Option<&'a str> {
+        let mut look = self.lines.clone();
+        let (k, v) = look.next()?.split_once('=')?;
+        if k != key {
+            return None;
+        }
+        self.lines = look;
+        self.line_no += 1;
+        Some(v)
+    }
+
+    /// Consumes the next line, which must be `key=...`, and returns its
+    /// value.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the missing or unexpected key.
+    pub fn kv(&mut self, key: &str) -> Result<&'a str, String> {
+        self.line_no += 1;
+        let line = self
+            .lines
+            .next()
+            .ok_or_else(|| format!("unexpected end of body (wanted `{key}`)"))?;
+        let (k, v) = line
+            .split_once('=')
+            .ok_or_else(|| format!("expected `{key}=...`, found `{line}`"))?;
+        if k != key {
+            return Err(format!("expected key `{key}`, found `{k}`"));
+        }
+        Ok(v)
+    }
+}
+
+/// Appends `m`'s series as `key=value` lines: `obs_counters=N` then one
+/// `oc=<value>,<name>` per counter, `obs_gauges=N` then
+/// `og=<bits>,<name>`, and `obs_hists=N` then
+/// `oh=<name>,<bounds>,<bound…>,<count…>,<sum bits>,<count>,<nonfinite>`,
+/// each section in name order. Floats are exact bit patterns, so
+/// [`read_registry`] reproduces every series bit for bit. Help text is
+/// not encoded: it belongs to whoever registers the families.
+pub fn write_registry(out: &mut String, m: &MetricsRegistry) {
+    let _ = writeln!(out, "obs_counters={}", m.counters().count());
+    for (name, value) in m.counters() {
+        let _ = writeln!(out, "oc={value},{}", esc(name));
+    }
+    let _ = writeln!(out, "obs_gauges={}", m.gauges().count());
+    for (name, value) in m.gauges() {
+        let _ = writeln!(out, "og={},{}", f64_hex(value), esc(name));
+    }
+    let _ = writeln!(out, "obs_hists={}", m.histograms().count());
+    for (name, h) in m.histograms() {
+        let _ = write!(out, "oh={},{}", esc(name), h.bounds().len());
+        for b in h.bounds() {
+            let _ = write!(out, ",{}", f64_hex(*b));
+        }
+        for c in h.counts() {
+            let _ = write!(out, ",{c}");
+        }
+        let _ = writeln!(out, ",{},{},{}", f64_hex(h.sum()), h.count(), h.nonfinite());
+    }
+}
+
+fn parse_num<T: FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid integer `{s}`"))
+}
+
+fn parse_bits(s: &str) -> Result<f64, String> {
+    f64_from_hex(s).ok_or_else(|| format!("invalid float bits `{s}`"))
+}
+
+/// Splits `value` into exactly two comma-separated fields.
+fn pair(value: &str) -> Result<(&str, &str), String> {
+    match value.split(',').collect::<Vec<_>>()[..] {
+        [a, b] => Ok((a, b)),
+        ref parts => Err(format!("expected 2 fields, got {}", parts.len())),
+    }
+}
+
+/// Reads the lines [`write_registry`] wrote, setting every series into
+/// `m` (series `m` already holds keep their help text and are
+/// overwritten). A histogram line may omit the trailing non-finite
+/// count, as checkpoints written before it existed do.
+///
+/// # Errors
+///
+/// A message describing the first malformed line; `lines` then points
+/// at it.
+pub fn read_registry(lines: &mut KvLines<'_>, m: &mut MetricsRegistry) -> Result<(), String> {
+    let n: usize = parse_num(lines.kv("obs_counters")?)?;
+    for _ in 0..n {
+        let (value, name) = pair(lines.kv("oc")?)?;
+        m.set_counter(&unesc(name), parse_num(value)?);
+    }
+    let n: usize = parse_num(lines.kv("obs_gauges")?)?;
+    for _ in 0..n {
+        let (value, name) = pair(lines.kv("og")?)?;
+        m.set_gauge(&unesc(name), parse_bits(value)?);
+    }
+    let n: usize = parse_num(lines.kv("obs_hists")?)?;
+    for _ in 0..n {
+        let parts: Vec<&str> = lines.kv("oh")?.split(',').collect();
+        if parts.len() < 2 {
+            return Err("histogram needs at least a name and a bound count".to_owned());
+        }
+        let nb: usize = parse_num(parts[1])?;
+        if nb > parts.len() {
+            return Err(format!("histogram claims {nb} bounds in {} fields", parts.len()));
+        }
+        // name, bound count, bounds, counts (one overflow bucket), sum,
+        // count, plus the optional non-finite quarantine count.
+        let want = 2 + nb + (nb + 1) + 2;
+        if parts.len() != want && parts.len() != want + 1 {
+            return Err(format!(
+                "histogram with {nb} bounds expects {want} or {} fields, got {}",
+                want + 1,
+                parts.len()
+            ));
+        }
+        let bounds = parts[2..2 + nb]
+            .iter()
+            .map(|raw| parse_bits(raw))
+            .collect::<Result<Vec<_>, _>>()?;
+        if bounds.is_empty()
+            || !bounds.iter().all(|b| b.is_finite())
+            || bounds.windows(2).any(|w| w[0] >= w[1])
+        {
+            return Err("histogram bounds must be finite and strictly increasing".to_owned());
+        }
+        let counts = parts[2 + nb..2 + nb + nb + 1]
+            .iter()
+            .map(|raw| parse_num(raw))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let sum = parse_bits(parts[want - 2])?;
+        let count = parse_num(parts[want - 1])?;
+        let nonfinite = match parts.get(want) {
+            Some(raw) => parse_num(raw)?,
+            None => 0,
+        };
+        m.insert_histogram(
+            &unesc(parts[0]),
+            Histogram::from_parts(bounds, counts, sum, count).with_nonfinite(nonfinite),
+        );
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,5 +295,30 @@ mod tests {
     fn fnv_matches_reference_vectors() {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn registry_round_trips_bit_for_bit() {
+        let mut m = MetricsRegistry::new();
+        m.add("c{k=\"a,b:c\"}", 7);
+        m.set_gauge("g", 1.0 / 3.0);
+        m.register_histogram("h", vec![0.1, 1.0]);
+        m.observe("h", 0.3);
+        m.observe("h", 5.0);
+        let mut text = String::new();
+        write_registry(&mut text, &m);
+        let mut back = MetricsRegistry::new();
+        read_registry(&mut KvLines::new(&text), &mut back).unwrap();
+        assert_eq!(back, m);
+        let mut again = String::new();
+        write_registry(&mut again, &back);
+        assert_eq!(again, text);
+        // Malformed bounds and hostile bound counts are typed errors,
+        // not panics.
+        for hist in ["h,0,0,0000000000000000,0", "h,18446744073709551615,0"] {
+            let bad = format!("obs_counters=0\nobs_gauges=0\nobs_hists=1\noh={hist}\n");
+            let mut m = MetricsRegistry::new();
+            assert!(read_registry(&mut KvLines::new(&bad), &mut m).is_err(), "{hist}");
+        }
     }
 }

@@ -20,6 +20,27 @@ pub enum InvariantMode {
     Strict,
 }
 
+/// How much the observability layer records, ordered from nothing to
+/// everything: each level records all of the level below it.
+///
+/// Whatever the level, a run's trace and report are byte-identical;
+/// only the observability exports (and with them the report's
+/// `metrics` block and the checkpoint's observability section) differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ObsLevel {
+    /// Nothing: the metrics registry stays empty, every export renders
+    /// empty, and the report's `metrics` block renders as `null`.
+    Off,
+    /// The pre-resolved counters, gauges and histograms, and nothing
+    /// else: no spans, no placement audits, no alarm ordinals, and no
+    /// wall-clock stage profile. The metrics snapshot is byte-identical
+    /// to a [`Spans`](ObsLevel::Spans) run's. Fleet devices run here.
+    Metrics,
+    /// Metrics plus the span ring, the placement-audit ring, and the
+    /// wall-clock stage profile (the default).
+    Spans,
+}
+
 /// Configuration of one simulation run.
 ///
 /// The defaults mirror the paper's setup: a 3-hour connected-standby
@@ -58,9 +79,7 @@ pub struct SimConfig {
     /// (oldest evicted first; see [`crate::obs::ObsLayer`]).
     pub audit_capacity: usize,
     /// How many spans the observability layer's span ring retains
-    /// (oldest evicted first). Fleet campaigns shrink this so a
-    /// 100k-device run's instrumentation stays O(shards), not
-    /// O(devices × spans).
+    /// (oldest evicted first).
     pub span_capacity: usize,
     /// Per-app admission quotas at the registration front door; `None`
     /// admits everything (the plain paper setup).
@@ -68,13 +87,12 @@ pub struct SimConfig {
     /// The battery-aware degradation governor; `None` keeps the run at
     /// full fidelity regardless of the modeled state of charge.
     pub degradation: Option<GovernorConfig>,
-    /// Whether the observability layer (spans, metrics, placement
-    /// audits) and the wall-clock stage profile record anything. On by
-    /// default; switch off with [`without_obs`](SimConfig::without_obs)
-    /// for uninstrumented campaign runs — traces and reports stay
-    /// byte-identical, only the `metrics` block of the report JSON
-    /// renders as `null`.
-    pub obs: bool,
+    /// How much the observability layer and the wall-clock stage
+    /// profile record (see [`ObsLevel`]). [`ObsLevel::Spans`] by
+    /// default; [`without_obs`](SimConfig::without_obs) selects
+    /// [`ObsLevel::Off`] for uninstrumented campaign runs, and fleet
+    /// devices run at [`ObsLevel::Metrics`].
+    pub obs: ObsLevel,
 }
 
 impl Default for SimConfig {
@@ -91,7 +109,7 @@ impl Default for SimConfig {
             span_capacity: crate::obs::SPAN_CAPACITY,
             admission: None,
             degradation: None,
-            obs: true,
+            obs: ObsLevel::Spans,
         }
     }
 }
@@ -177,10 +195,7 @@ impl SimConfig {
     }
 
     /// Overrides how many spans the observability span ring retains
-    /// (default [`SPAN_CAPACITY`](crate::obs::SPAN_CAPACITY)). Fleet
-    /// campaigns cap this per shard so instrumentation memory is
-    /// bounded regardless of population size; evictions are counted in
-    /// the fleet document.
+    /// (default [`SPAN_CAPACITY`](crate::obs::SPAN_CAPACITY)).
     ///
     /// # Panics
     ///
@@ -200,14 +215,20 @@ impl SimConfig {
         self
     }
 
-    /// Switches the observability layer and the stage profile off: the
-    /// engine's no-obs fast path skips every span, metric, audit, and
+    /// Sets how much the observability layer records (see
+    /// [`ObsLevel`]).
+    pub fn with_obs(mut self, level: ObsLevel) -> Self {
+        self.obs = level;
+        self
+    }
+
+    /// Switches the observability layer and the stage profile off
+    /// ([`ObsLevel::Off`]): the run records no span, metric, audit, or
     /// wall-clock probe. The deterministic outputs (trace, report,
     /// checkpoints) are unaffected except that the report's `metrics`
     /// JSON block renders as `null`.
-    pub fn without_obs(mut self) -> Self {
-        self.obs = false;
-        self
+    pub fn without_obs(self) -> Self {
+        self.with_obs(ObsLevel::Off)
     }
 
     /// Attaches the battery-aware degradation governor: as the modeled

@@ -30,7 +30,7 @@ use simty_core::manager::AlarmManager;
 use simty_core::policy::AlignmentPolicy;
 use simty_core::time::{SimDuration, SimTime};
 use simty_device::device::Device;
-use simty_obs::{SpanKind, Stage, StageProfile};
+use simty_obs::{MetricsRegistry, SpanKind, Stage, StageProfile};
 
 use crate::attribution::AttributionLedger;
 use crate::checkpoint::{Checkpoint, CheckpointError};
@@ -185,14 +185,14 @@ impl Simulation {
         let watchdog = config.online_watchdog;
         let admission = config.admission.map(AdmissionController::new);
         let governor = config.degradation.map(DegradationGovernor::new);
-        let obs = if config.obs {
-            ObsLayer::new(policy.name(), config.audit_capacity, config.span_capacity)
-        } else {
-            ObsLayer::disabled(policy.name(), config.audit_capacity, config.span_capacity)
-        };
-        let audit_enabled = config.obs;
+        let obs = ObsLayer::new(
+            policy.name(),
+            config.obs,
+            config.audit_capacity,
+            config.span_capacity,
+        );
         let mut manager = AlarmManager::new(policy);
-        manager.set_audit_enabled(audit_enabled);
+        manager.set_audit_enabled(obs.spans_on());
         let mut sim = Simulation {
             manager,
             device: Device::new(config.power.clone()),
@@ -267,6 +267,12 @@ impl Simulation {
     /// placement-decision audits.
     pub fn obs(&self) -> &ObsLayer {
         &self.obs
+    }
+
+    /// Consumes the simulation, keeping only its metrics registry (fleet
+    /// shards fold it without rendering it).
+    pub fn into_metrics(self) -> MetricsRegistry {
+        self.obs.metrics
     }
 
     /// Wall-clock self-profiling per engine stage (queue search,
@@ -350,6 +356,8 @@ impl Simulation {
                     self.obs
                         .metrics
                         .set_gauge("sim_quarantined_apps", self.quarantined.len() as f64);
+                }
+                if self.obs.spans_on() {
                     self.obs.spans.record(
                         SpanKind::WatchdogIntervention,
                         t.as_millis(),
@@ -385,7 +393,7 @@ impl Simulation {
                 }
             }
         }
-        let id = if self.obs.on() {
+        let id = if self.obs.spans_on() {
             let t0 = Instant::now();
             let id = self.manager.register(alarm)?;
             self.stages.add(Stage::Selection, t0.elapsed());
@@ -394,7 +402,7 @@ impl Simulation {
             self.manager.register(alarm)?
         };
         self.arm_clocks();
-        self.drain_audits();
+        self.drain_placements();
         Ok(id)
     }
 
@@ -570,11 +578,7 @@ impl Simulation {
     pub fn run_until(&mut self, end: SimTime) {
         let end = end.min(SimTime::ZERO + self.config.duration);
         self.arm_clocks();
-        if self.obs.on() {
-            self.run_loop::<true>(end);
-        } else {
-            self.run_loop::<false>(end);
-        }
+        self.run_loop(end);
         self.now = self.now.max(end);
         self.device.advance_to(self.now);
         self.ledger.advance_to(self.now, !self.device.is_asleep());
@@ -599,39 +603,40 @@ impl Simulation {
         }
     }
 
-    /// The batched event loop, monomorphized over whether the
-    /// observability layer is on so the uninstrumented path compiles with
-    /// no clock reads at all. Same-instant events are delivered as one
+    /// The batched event loop. Same-instant events are delivered as one
     /// batch: the clock and attribution ledger advance once per distinct
     /// timestamp instead of once per event. The intermediate per-event
     /// `ledger.advance_to` calls of the old loop were zero-elapsed at a
     /// shared timestamp (they only refreshed the awake flag, which the
     /// final same-instant call re-syncs identically), so the trace and
-    /// ledger stay byte-identical. Audits still drain per event — span
-    /// order is part of the deterministic obs stream.
+    /// ledger stay byte-identical. Placements still drain per event —
+    /// span order is part of the deterministic obs stream.
     ///
-    /// `EventDispatch` is recorded as *self* time: handlers time their
-    /// own stages (queue search, delivery, checkpoint I/O), and whatever
-    /// they accumulated while this batch's clock was running is
-    /// subtracted from the batch's elapsed time. The seed profile timed
-    /// the whole batch as dispatch, which made `event_dispatch` a
-    /// monolith covering >90% of stage time and hid where the loop
-    /// actually spent it.
-    fn run_loop<const OBS: bool>(&mut self, end: SimTime) {
+    /// Only a [`Spans`](crate::config::ObsLevel::Spans)-level run reads
+    /// the wall clock. There, `EventDispatch` is recorded as *self* time:
+    /// handlers time their own stages (queue search, delivery, checkpoint
+    /// I/O), and whatever they accumulated while this batch's clock was
+    /// running is subtracted from the batch's elapsed time. The seed
+    /// profile timed the whole batch as dispatch, which made
+    /// `event_dispatch` a monolith covering >90% of stage time and hid
+    /// where the loop actually spent it.
+    fn run_loop(&mut self, end: SimTime) {
+        let drain = self.obs.on();
+        let profile = self.obs.spans_on();
         while let Some(t) = self.events.next_due(end) {
             self.now = self.now.max(t);
             // Close the attribution segment up to this instant under the
             // state that held during it, then process the whole batch and
             // re-sync.
             self.ledger.advance_to(self.now, !self.device.is_asleep());
-            let t0 = if OBS { Some(Instant::now()) } else { None };
-            let nested0 = if OBS { self.nested_stage_nanos() } else { 0 };
+            let t0 = profile.then(Instant::now);
+            let nested0 = if profile { self.nested_stage_nanos() } else { 0 };
             let mut dispatched = 0u64;
             while let Some(event) = self.events.pop_at(t) {
                 self.disarm(&event.kind, event.time);
                 self.handle(event.kind, event.time);
-                if OBS {
-                    self.drain_audits();
+                if drain {
+                    self.drain_placements();
                 }
                 dispatched += 1;
             }
@@ -668,13 +673,31 @@ impl Simulation {
     }
 
     /// The report over the time span processed so far, or a typed error
-    /// instead of a panic when no time has been processed yet.
+    /// instead of a panic when no time has been processed yet: the
+    /// [summary](Self::try_summary) plus the rendered metrics snapshot.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::ReportBeforeRun`] if the simulation has not
     /// advanced past time zero.
     pub fn try_report(&self) -> Result<SimReport, SimError> {
+        let mut report = self.try_summary()?;
+        if self.obs.on() {
+            report.metrics_json = self.obs.metrics_json();
+        }
+        Ok(report)
+    }
+
+    /// The report without its `metrics_json` render, which stays empty
+    /// whatever the observability level. Callers that fold the registry
+    /// itself ([`Simulation::into_metrics`]) skip rendering a snapshot
+    /// they would discard.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ReportBeforeRun`] if the simulation has not
+    /// advanced past time zero.
+    pub fn try_summary(&self) -> Result<SimReport, SimError> {
         let span = self.now - SimTime::ZERO;
         if span.is_zero() {
             return Err(SimError::ReportBeforeRun);
@@ -693,23 +716,23 @@ impl Simulation {
             report.overload.final_tier = g.tier().name().to_owned();
         }
         report.overload.grace_stretch_milli = self.manager.grace_stretch();
-        report.metrics_json = if self.obs.on() {
-            self.obs.metrics_json()
-        } else {
-            String::new()
-        };
         Ok(report)
     }
 
-    /// Moves every placement decision the manager recorded since the
-    /// last drain into the observability layer (a counter bump, a
-    /// `policy_place` span, and a slot in the audit ring each).
-    fn drain_audits(&mut self) {
-        if !self.manager.audit_enabled() {
-            return;
-        }
-        for audit in self.manager.take_audits() {
-            self.obs.note_placement(audit);
+    /// Moves every placement decision the manager made since the last
+    /// drain into the observability layer: at
+    /// [`ObsLevel::Spans`](crate::config::ObsLevel::Spans) each audit
+    /// becomes a counter bump, a `policy_place` span, and a slot in the
+    /// audit ring; at [`ObsLevel::Metrics`](crate::config::ObsLevel::Metrics)
+    /// the outcome tally bumps the same counters.
+    fn drain_placements(&mut self) {
+        if self.manager.audit_enabled() {
+            for audit in self.manager.take_audits() {
+                self.obs.note_placement(audit);
+            }
+        } else {
+            let tally = self.manager.take_placement_tally();
+            self.obs.note_placement_tally(tally);
         }
     }
 
@@ -870,6 +893,8 @@ impl Simulation {
                 // straight-through run then agree byte-for-byte.
                 if self.obs.on() {
                     self.obs.metrics.inc("sim_checkpoints_total");
+                }
+                if self.obs.spans_on() {
                     self.obs.spans.record(
                         SpanKind::CheckpointWrite,
                         t.as_millis(),
@@ -928,6 +953,8 @@ impl Simulation {
         if self.obs.on() {
             self.obs.metrics.inc("sim_degradation_transitions_total");
             self.obs.metrics.set_gauge("sim_degradation_tier", target.gauge());
+        }
+        if self.obs.spans_on() {
             self.obs.spans.record(
                 SpanKind::DegradationTransition,
                 t.as_millis(),
@@ -942,7 +969,7 @@ impl Simulation {
         }
         // Restamping re-placed every queued imperceptible alarm; the
         // wakeup head may have moved either direction.
-        self.drain_audits();
+        self.drain_placements();
         self.arm_clocks();
     }
 
@@ -1079,6 +1106,8 @@ impl Simulation {
                     self.obs
                         .metrics
                         .set_gauge("sim_quarantined_apps", self.quarantined.len() as f64);
+                }
+                if self.obs.spans_on() {
                     self.obs.spans.record(
                         SpanKind::WatchdogIntervention,
                         t.as_millis(),
@@ -1120,6 +1149,8 @@ impl Simulation {
         }
         if self.obs.on() {
             self.obs.metrics.inc("sim_watchdog_forced_releases_total");
+        }
+        if self.obs.spans_on() {
             self.obs.spans.record(
                 SpanKind::WatchdogIntervention,
                 (now - held).as_millis(),
@@ -1269,7 +1300,7 @@ impl Simulation {
             // zero or one entry, so a fresh Vec per round is pure churn.
             let mut entries = std::mem::take(&mut self.due_buffer);
             entries.clear();
-            if self.obs.on() {
+            if self.obs.spans_on() {
                 let t0 = Instant::now();
                 self.manager.pop_due_wakeup_into(t, &mut entries);
                 self.manager.pop_due_non_wakeup_into(t, &mut entries);
@@ -1282,7 +1313,7 @@ impl Simulation {
                 self.due_buffer = entries;
                 break;
             }
-            let t0 = if self.obs.on() { Some(Instant::now()) } else { None };
+            let t0 = self.obs.spans_on().then(Instant::now);
             let batch = entries.len() as u64;
             for entry in entries.drain(..) {
                 self.trace.record_entry_delivery();
@@ -1349,9 +1380,10 @@ impl Simulation {
             self.obs
                 .alarm_delivered(rec.normalized_delay(), (hold_until - t).as_millis());
             for c in alarm.hardware().iter() {
-                self.obs
-                    .component_active(c.name(), (hold_until - t).as_millis());
+                self.obs.component_active(c, (hold_until - t).as_millis());
             }
+        }
+        if self.obs.spans_on() {
             self.obs.spans.record(
                 SpanKind::TaskRun,
                 t.as_millis(),

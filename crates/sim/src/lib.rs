@@ -61,7 +61,7 @@ pub mod watchdog;
 
 pub use attribution::AttributionLedger;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointStore};
-pub use config::{InvariantMode, SimConfig};
+pub use config::{InvariantMode, ObsLevel, SimConfig};
 pub use degrade::{DegradationGovernor, DegradationTier, GovernorConfig};
 pub use engine::Simulation;
 pub use error::SimError;

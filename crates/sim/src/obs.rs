@@ -10,13 +10,26 @@
 //! [`StageProfile`](simty_obs::StageProfile), which the engine keeps out
 //! of every deterministic export.
 //!
-//! The layer is on by default: its hot-path cost is a few counter bumps
-//! per delivery plus one ring insertion per placement decision. Runs
-//! that only need the deterministic trace and report can switch it off
-//! ([`SimConfig::without_obs`](crate::config::SimConfig::without_obs) /
-//! `standby sweep --no-obs`): a [`disabled`](ObsLayer::disabled) layer
-//! records nothing, every export renders empty, and the engine hoists
-//! the instrumentation branches out of its hot loop.
+//! How much the layer records is one ordered [`ObsLevel`]
+//! ([`SimConfig::obs`](crate::config::SimConfig::obs)):
+//!
+//! * [`ObsLevel::Spans`] (the default) records everything: counters,
+//!   gauges and histograms through pre-resolved handles, the span ring,
+//!   the placement-audit ring with its run-local alarm ordinals, and the
+//!   engine's wall-clock stage profile.
+//! * [`ObsLevel::Metrics`] keeps only the metrics. Placement outcomes
+//!   arrive as the manager's [`PlacementTally`] instead of audits, so the
+//!   snapshot is byte-identical to a `Spans` run's while the run builds
+//!   no span, audit, candidate list, or ordinal and reads no clock.
+//!   Fleet devices run here and fold their registries per shard.
+//! * [`ObsLevel::Off`] records nothing
+//!   ([`SimConfig::without_obs`](crate::config::SimConfig::without_obs) /
+//!   `standby sweep --no-obs`): the registry stays empty and every
+//!   export renders empty.
+//!
+//! Traces and reports are byte-identical at every level (except the
+//! report's `metrics` block, `null` at `Off`), and a checkpoint resumes
+//! byte-identically at whichever level it was captured.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -24,6 +37,8 @@ use std::sync::Arc;
 
 use simty_core::alarm::AlarmId;
 use simty_core::audit::PlacementAudit;
+use simty_core::hardware::HardwareComponent;
+use simty_core::manager::PlacementTally;
 use simty_core::policy::Placement;
 use simty_core::time::SimTime;
 use simty_obs::{
@@ -31,6 +46,7 @@ use simty_obs::{
     SpanKind,
 };
 
+use crate::config::ObsLevel;
 use crate::json::json_string;
 
 /// How many spans the ring retains before evicting the oldest.
@@ -59,15 +75,25 @@ pub struct ObsLayer {
     /// between runs in one process, so exports must never contain them:
     /// every export renders the ordinal instead.
     pub(crate) aliases: BTreeMap<u64, u64>,
-    /// Whether the layer records anything at all (see
-    /// [`ObsLayer::disabled`]).
-    pub(crate) enabled: bool,
+    /// How much the layer records.
+    level: ObsLevel,
     /// Slot handles for every per-delivery metric, resolved once at
-    /// construction so the hot path performs no name lookups at all.
-    hot: HotHandles,
-    /// Component name → counter handle, filled lazily; the hardware set
-    /// is tiny, so a linear scan beats hashing.
-    component_keys: Vec<(String, CounterHandle)>,
+    /// construction so the hot path performs no name lookups at all;
+    /// `None` exactly when the level is [`ObsLevel::Off`].
+    hot: Option<HotHandles>,
+    /// Per-component active-time counters and the two placement
+    /// counters, resolved on first use: their series are created lazily,
+    /// exactly when the string API would have created them.
+    lazy: LazyHandles,
+}
+
+/// Counter handles resolved on first use (see [`ObsLayer::lazy`]).
+#[derive(Debug, Clone, Default)]
+struct LazyHandles {
+    /// Indexed by the component's bit position.
+    components: [Option<CounterHandle>; HardwareComponent::ALL.len()],
+    /// `[existing, new_entry]`.
+    placements: [Option<CounterHandle>; 2],
 }
 
 /// Pre-resolved [`MetricsRegistry`] slots for the metrics touched on
@@ -100,13 +126,38 @@ impl HotHandles {
 }
 
 impl ObsLayer {
-    /// Creates the layer for a run under `policy`, registering every
-    /// metric family with its help text so the exposition is
-    /// self-describing even before anything is observed.
-    pub fn new(policy: &str, audit_capacity: usize, span_capacity: usize) -> Self {
+    /// Creates the layer for a run under `policy` at `level`. Above
+    /// [`ObsLevel::Off`] every metric family is registered with its help
+    /// text, so the exposition is self-describing even before anything
+    /// is observed; at `Off` the registry stays empty.
+    pub fn new(
+        policy: &str,
+        level: ObsLevel,
+        audit_capacity: usize,
+        span_capacity: usize,
+    ) -> Self {
         assert!(audit_capacity > 0, "the audit ring needs room for one decision");
         assert!(span_capacity > 0, "the span ring needs room for one span");
         let mut metrics = MetricsRegistry::new();
+        let hot = (level > ObsLevel::Off).then(|| Self::register_families(&mut metrics, policy));
+        ObsLayer {
+            spans: SpanCollector::new(span_capacity),
+            metrics,
+            audits: VecDeque::new(),
+            audit_capacity,
+            audit_dropped: 0,
+            wake_open: None,
+            aliases: BTreeMap::new(),
+            level,
+            hot,
+            lazy: LazyHandles::default(),
+        }
+    }
+
+    /// Registers every metric family the engine records (help text,
+    /// zeroed counters and gauges, histogram bounds) and resolves the
+    /// hot-path handles.
+    fn register_families(metrics: &mut MetricsRegistry, policy: &str) -> HotHandles {
         metrics.describe("sim_wakeups_total", "Device sleep-to-awake transitions.");
         metrics.describe(
             "sim_entry_deliveries_total",
@@ -205,53 +256,25 @@ impl ObsLayer {
             "sim_task_hold_ms",
             vec![10.0, 100.0, 1_000.0, 10_000.0, 60_000.0, 300_000.0],
         );
-        let hot = HotHandles::resolve(&mut metrics, policy);
-        ObsLayer {
-            spans: SpanCollector::new(span_capacity),
-            metrics,
-            audits: VecDeque::new(),
-            audit_capacity,
-            audit_dropped: 0,
-            wake_open: None,
-            aliases: BTreeMap::new(),
-            enabled: true,
-            hot,
-            component_keys: Vec::new(),
-        }
+        HotHandles::resolve(metrics, policy)
     }
 
-    /// Creates a switched-off layer: nothing is registered, every
-    /// recording method returns immediately, and every export renders
-    /// empty. The engine pairs this with hoisting its instrumentation
-    /// branches out of the hot loop, so an uninstrumented run pays
-    /// nothing for observability while its traces and reports stay
-    /// byte-identical to an instrumented run's.
-    pub fn disabled(policy: &str, audit_capacity: usize, span_capacity: usize) -> Self {
-        assert!(audit_capacity > 0, "the audit ring needs room for one decision");
-        assert!(span_capacity > 0, "the span ring needs room for one span");
-        // Resolve the hot handles against a scratch registry so the real
-        // (exported) registry stays empty; every recording method checks
-        // `enabled` before touching a handle.
-        let mut scratch = MetricsRegistry::new();
-        let hot = HotHandles::resolve(&mut scratch, policy);
-        ObsLayer {
-            spans: SpanCollector::new(span_capacity),
-            metrics: MetricsRegistry::new(),
-            audits: VecDeque::new(),
-            audit_capacity,
-            audit_dropped: 0,
-            wake_open: None,
-            aliases: BTreeMap::new(),
-            enabled: false,
-            hot,
-            component_keys: Vec::new(),
-        }
+    /// How much the layer records.
+    pub fn level(&self) -> ObsLevel {
+        self.level
     }
 
-    /// Whether the layer is recording (`false` for a
-    /// [`disabled`](ObsLayer::disabled) layer).
+    /// Whether the layer records metrics (any level above
+    /// [`ObsLevel::Off`]).
     pub fn on(&self) -> bool {
-        self.enabled
+        self.hot.is_some()
+    }
+
+    /// Whether the layer records spans and placement audits
+    /// ([`ObsLevel::Spans`]); the engine's wall-clock stage profile
+    /// follows the same switch.
+    pub fn spans_on(&self) -> bool {
+        self.level == ObsLevel::Spans
     }
 
     /// The span ring.
@@ -291,22 +314,17 @@ impl ObsLayer {
         *self.aliases.entry(id.as_u64()).or_insert(next)
     }
 
-    /// Ingests one placement decision: bumps the placement counter,
-    /// records a `policy_place` span, and retains the audit (evicting the
-    /// oldest when the ring is full).
+    /// Ingests one audited placement decision: bumps the placement
+    /// counter, records a `policy_place` span, and retains the audit
+    /// (evicting the oldest when the ring is full). Only a
+    /// [`ObsLevel::Spans`] run audits placements.
     pub(crate) fn note_placement(&mut self, audit: PlacementAudit) {
-        if !self.enabled {
-            return;
-        }
         let placement = match audit.placement {
             Placement::Existing(idx) => AttrValue::Str(format!("existing:{idx}")),
             Placement::NewEntry => AttrValue::Static("new_entry"),
         };
-        let placement_key = match audit.placement {
-            Placement::Existing(_) => "sim_placements_total{placement=\"existing\"}",
-            Placement::NewEntry => "sim_placements_total{placement=\"new_entry\"}",
-        };
-        self.metrics.inc(placement_key);
+        let outcome = usize::from(audit.placement == Placement::NewEntry);
+        self.count_placements(outcome, 1);
         let ordinal = self.alias(audit.alarm_id);
         let at = audit.at.as_millis();
         self.spans.record(
@@ -327,45 +345,69 @@ impl ObsLayer {
         self.audits.push_back(audit);
     }
 
-    /// The device left sleep at `t`: opens a wake cycle and counts it.
-    pub(crate) fn wake_started(&mut self, t: SimTime) {
-        if !self.enabled {
+    /// Ingests the outcomes of unaudited placement decisions (an
+    /// [`ObsLevel::Metrics`] run): the same placement counters an
+    /// audited run bumps, created at the same first decision.
+    pub(crate) fn note_placement_tally(&mut self, tally: PlacementTally) {
+        if !self.on() {
             return;
         }
-        self.metrics.inc_counter(self.hot.wakeups);
-        if self.wake_open.is_none() {
+        for (outcome, n) in [tally.existing, tally.new_entry].into_iter().enumerate() {
+            if n > 0 {
+                self.count_placements(outcome, n);
+            }
+        }
+    }
+
+    /// Adds `n` placements with outcome `outcome` (0 = existing entry,
+    /// 1 = new entry) to their counter.
+    fn count_placements(&mut self, outcome: usize, n: u64) {
+        let handle = match self.lazy.placements[outcome] {
+            Some(h) => h,
+            None => {
+                let key = ["existing", "new_entry"][outcome];
+                let h = self
+                    .metrics
+                    .counter_handle(&format!("sim_placements_total{{placement=\"{key}\"}}"));
+                self.lazy.placements[outcome] = Some(h);
+                h
+            }
+        };
+        self.metrics.add_counter(handle, n);
+    }
+
+    /// The device left sleep at `t`: counts the wakeup and, when spans
+    /// are on, opens a wake cycle.
+    pub(crate) fn wake_started(&mut self, t: SimTime) {
+        let Some(hot) = self.hot else { return };
+        self.metrics.inc_counter(hot.wakeups);
+        if self.spans_on() && self.wake_open.is_none() {
             self.wake_open = Some(t);
         }
     }
 
     /// One queue entry carrying `entry_size` alarms was delivered.
     pub(crate) fn entry_delivered(&mut self, entry_size: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.inc_counter(self.hot.entry_deliveries);
-        self.metrics.observe_value(self.hot.entry_size, entry_size as f64);
+        let Some(hot) = self.hot else { return };
+        self.metrics.inc_counter(hot.entry_deliveries);
+        self.metrics.observe_value(hot.entry_size, entry_size as f64);
     }
 
     /// One alarm was delivered: counts it and records its normalized
     /// delay (if the alarm repeats) and its task's wakelock hold time.
     pub(crate) fn alarm_delivered(&mut self, normalized_delay: Option<f64>, hold_ms: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.inc_counter(self.hot.alarm_deliveries);
+        let Some(hot) = self.hot else { return };
+        self.metrics.inc_counter(hot.alarm_deliveries);
         if let Some(nd) = normalized_delay {
-            self.metrics.observe_value(self.hot.normalized_delay, nd);
+            self.metrics.observe_value(hot.normalized_delay, nd);
         }
-        self.metrics.observe_value(self.hot.task_hold_ms, hold_ms as f64);
+        self.metrics.observe_value(hot.task_hold_ms, hold_ms as f64);
     }
 
     /// Records the wakeup-queue depth after a delivery round.
     pub(crate) fn queue_depth(&mut self, depth: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.set_gauge_value(self.hot.queue_depth, depth as f64);
+        let Some(hot) = self.hot else { return };
+        self.metrics.set_gauge_value(hot.queue_depth, depth as f64);
     }
 
     /// The device went back to sleep (or lost power) at `t`: closes the
@@ -378,20 +420,20 @@ impl ObsLayer {
     }
 
     /// Adds `ms` of active time to a hardware component's labelled
-    /// counter, resolving the slot handle at most once per component
-    /// name (the series is created lazily, exactly when the string API
-    /// would have created it).
-    pub(crate) fn component_active(&mut self, component: &str, ms: u64) {
-        if !self.enabled {
+    /// counter, resolving the slot handle at most once per component.
+    pub(crate) fn component_active(&mut self, component: HardwareComponent, ms: u64) {
+        if !self.on() {
             return;
         }
-        let handle = match self.component_keys.iter().find(|(n, _)| n == component) {
-            Some((_, h)) => *h,
+        let slot = (component as u16).trailing_zeros() as usize;
+        let handle = match self.lazy.components[slot] {
+            Some(h) => h,
             None => {
                 let h = self.metrics.counter_handle(&format!(
-                    "sim_component_active_ms_total{{component=\"{component}\"}}"
+                    "sim_component_active_ms_total{{component=\"{}\"}}",
+                    component.name()
                 ));
-                self.component_keys.push((component.to_owned(), h));
+                self.lazy.components[slot] = Some(h);
                 h
             }
         };
@@ -496,7 +538,7 @@ mod tests {
 
     #[test]
     fn placement_feeds_counter_span_and_ring() {
-        let mut obs = ObsLayer::new("SIMTY", 2, SPAN_CAPACITY);
+        let mut obs = ObsLayer::new("SIMTY", ObsLevel::Spans, 2, SPAN_CAPACITY);
         obs.note_placement(sample_audit(10));
         obs.note_placement(sample_audit(20));
         obs.note_placement(sample_audit(30));
@@ -517,7 +559,7 @@ mod tests {
 
     #[test]
     fn wake_cycle_opens_and_closes_once() {
-        let mut obs = ObsLayer::new("EXACT", 8, SPAN_CAPACITY);
+        let mut obs = ObsLayer::new("EXACT", ObsLevel::Spans, 8, SPAN_CAPACITY);
         obs.wake_started(SimTime::from_secs(5));
         obs.wake_started(SimTime::from_secs(5)); // merged wake: cycle stays open
         obs.wake_ended(SimTime::from_secs(9));
@@ -534,7 +576,7 @@ mod tests {
 
     #[test]
     fn exposition_is_self_describing_before_any_event() {
-        let obs = ObsLayer::new("SIMTY", 4, SPAN_CAPACITY);
+        let obs = ObsLayer::new("SIMTY", ObsLevel::Spans, 4, SPAN_CAPACITY);
         let text = obs.metrics_exposition();
         for family in [
             "sim_wakeups_total",

@@ -27,6 +27,6 @@ pub use simty_device::{Battery, Device, DevicePowerState, EnergyBreakdown, Power
 pub use simty_sim::{
     AttributionLedger, Checkpoint, CheckpointError, CheckpointStore, DelayStats, DeliveryRecord,
     FaultPlan, InterventionKind, InterventionRecord, InvariantMode, InvariantMonitor,
-    InvariantViolation, OnlineWatchdogConfig, RebootPlan, ResilienceStats, SimConfig, SimError,
-    SimReport, Simulation, Trace, WakeupRow,
+    InvariantViolation, ObsLevel, OnlineWatchdogConfig, RebootPlan, ResilienceStats, SimConfig,
+    SimError, SimReport, Simulation, Trace, WakeupRow,
 };

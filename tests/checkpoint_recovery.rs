@@ -253,3 +253,76 @@ fn ids_minted_after_resume_do_not_collide() {
     let fresh = resumed.register(wifi("latecomer", 600, 600)).unwrap();
     assert!(!existing.contains(&fresh), "fresh id collided after resume");
 }
+
+/// The observability level persists as an optional `obs=` line right
+/// after the capacities: absent means `Spans` and `obs=0` means `Off`
+/// (the two layouts v1 already had), and `obs=metrics` means `Metrics`.
+/// Restore rebuilds the layer at the recorded level, and an unknown
+/// level is a typed error.
+#[test]
+fn obs_level_key_decodes_to_its_level() {
+    let body_of = |ckpt: &Checkpoint| {
+        let bytes = ckpt.to_bytes();
+        let text = String::from_utf8(bytes).expect("checkpoints are UTF-8");
+        let body_start = text.match_indices('\n').nth(2).expect("envelope").0 + 1;
+        text[body_start..].to_owned()
+    };
+    let mut bodies = Vec::new();
+    for (level, key) in [
+        (ObsLevel::Spans, None),
+        (ObsLevel::Off, Some("obs=0")),
+        (ObsLevel::Metrics, Some("obs=metrics")),
+    ] {
+        let mut sim = Simulation::new(
+            Box::new(SimtyPolicy::new()),
+            SimConfig::new()
+                .with_duration(SimDuration::from_hours(1))
+                .with_obs(level),
+        );
+        standard_workload(&mut sim);
+        sim.run_until(SimTime::from_secs(1_800));
+        let ckpt = sim.checkpoint();
+        let body = body_of(&ckpt);
+        let lines: Vec<&str> = body.lines().collect();
+        let after_caps = lines
+            .iter()
+            .position(|l| l.starts_with("audit_capacity="))
+            .expect("capacity line")
+            + 1;
+        let obs_lines: Vec<&str> =
+            lines.iter().copied().filter(|l| l.starts_with("obs=")).collect();
+        assert_eq!(obs_lines, key.into_iter().collect::<Vec<_>>(), "{level:?}");
+        if let Some(key) = key {
+            assert_eq!(lines[after_caps], key, "{level:?}");
+        }
+        let restored =
+            Simulation::restore(Box::new(SimtyPolicy::new()), &ckpt).expect("restore");
+        assert_eq!(restored.obs().level(), level);
+        bodies.push(body);
+    }
+
+    // An `Off` layer captures an empty registry; the other levels the
+    // same registry section.
+    let registry_of = |body: &str| {
+        let start = body.find("obs_counters=").expect("registry section");
+        let end = body.find("obs_audit_dropped=").expect("audit section");
+        body[start..end].to_owned()
+    };
+    assert_eq!(registry_of(&bodies[1]), "obs_counters=0\nobs_gauges=0\nobs_hists=0\n");
+    assert_eq!(registry_of(&bodies[0]), registry_of(&bodies[2]));
+
+    // A level this version does not know is rejected, not guessed.
+    let bogus = bodies[2].replace("obs=metrics", "obs=audit");
+    let mut bytes = format!(
+        "simty-checkpoint/v1\nlen={}\nsum={:016x}\n",
+        bogus.len(),
+        simty::sim::codec::fnv1a64(bogus.as_bytes())
+    )
+    .into_bytes();
+    bytes.extend_from_slice(bogus.as_bytes());
+    let ckpt = Checkpoint::from_bytes(&bytes).expect("envelope is valid");
+    assert!(matches!(
+        Simulation::restore(Box::new(SimtyPolicy::new()), &ckpt),
+        Err(CheckpointError::Malformed { .. })
+    ));
+}

@@ -1,10 +1,13 @@
 //! The observability layer end to end: the decision-audit log is
 //! complete, the deterministic exports (span JSONL, metrics snapshot,
 //! exposition, audit JSONL) are byte-identical across worker threads and
-//! across a mid-run checkpoint resume, and the metrics registry agrees
-//! with the run report.
+//! across a mid-run checkpoint resume, the metrics registry agrees
+//! with the run report, and the observability levels change only what
+//! they promise to.
 
+use simty::obs::Stage;
 use simty::prelude::*;
+use simty::sim::json::report_to_json;
 
 fn heavy_sim(audit_capacity: usize) -> Simulation {
     let duration = SimDuration::from_hours(2);
@@ -250,4 +253,129 @@ fn metrics_registry_agrees_with_the_report() {
     assert_eq!(h.count(), report.entry_deliveries);
     // The report embeds the same snapshot the registry renders.
     assert_eq!(report.metrics_json, m.to_json());
+}
+
+/// The heavy workload of the level tests. Runs compared across levels
+/// register clones of one build, so their traces share alarm ids.
+fn leveled_workload() -> Vec<Alarm> {
+    WorkloadBuilder::heavy()
+        .with_seed(5)
+        .with_beta(0.96)
+        .with_duration(SimDuration::from_hours(2))
+        .build()
+        .alarms
+}
+
+/// A checkpointed run of `alarms` at `level`, registered but not yet
+/// run.
+fn leveled_sim(level: ObsLevel, alarms: &[Alarm]) -> Simulation {
+    let duration = SimDuration::from_hours(2);
+    let mut sim = Simulation::new(
+        Box::new(SimtyPolicy::new()),
+        SimConfig::new()
+            .with_duration(duration)
+            .with_checkpoints(SimDuration::from_mins(20))
+            .with_audit_capacity(1 << 20)
+            .with_invariants()
+            .with_obs(level),
+    );
+    for alarm in alarms {
+        sim.register(alarm.clone()).expect("workload alarm registers cleanly");
+    }
+    sim
+}
+
+/// The deterministic outputs every level must agree on: the trace CSV
+/// and the report without its metrics render.
+fn run_fingerprint(sim: &Simulation) -> String {
+    let mut csv = Vec::new();
+    sim.trace().write_csv(&mut csv).expect("in-memory write");
+    format!(
+        "{}\n---\n{}",
+        String::from_utf8(csv).expect("CSV is UTF-8"),
+        report_to_json(&sim.try_summary().expect("the run advanced"))
+    )
+}
+
+/// The level matrix: traces and reports are byte-identical at every
+/// level; `Metrics` renders the very metrics snapshot `Spans` does while
+/// recording no span, no audit, and no stage-profile call; `Off` renders
+/// nothing.
+#[test]
+fn levels_change_only_the_observability_exports() {
+    let alarms = leveled_workload();
+    let run = |level| {
+        let mut sim = leveled_sim(level, &alarms);
+        sim.run();
+        sim
+    };
+    let off = run(ObsLevel::Off);
+    let metrics = run(ObsLevel::Metrics);
+    let spans = run(ObsLevel::Spans);
+    assert_eq!(run_fingerprint(&off), run_fingerprint(&spans));
+    assert_eq!(run_fingerprint(&metrics), run_fingerprint(&spans));
+
+    assert_eq!(metrics.obs().metrics_json(), spans.obs().metrics_json());
+    assert_eq!(
+        metrics.obs().metrics_exposition(),
+        spans.obs().metrics_exposition()
+    );
+    assert_eq!(
+        report_to_json(&metrics.report()),
+        report_to_json(&spans.report())
+    );
+    assert!(spans
+        .obs()
+        .metrics()
+        .counter("sim_placements_total{placement=\"existing\"}")
+        > 0);
+
+    for quiet in [&off, &metrics] {
+        assert!(quiet.obs().spans().is_empty());
+        assert_eq!(quiet.obs().audits().count(), 0);
+        assert_eq!(quiet.obs().alarm_ordinal(AlarmId::from_raw(1)), None);
+        for stage in Stage::ALL {
+            assert_eq!(quiet.stage_profile().calls(stage), 0, "{stage:?}");
+        }
+    }
+    assert!(!spans.obs().spans().is_empty());
+    assert!(spans.obs().audits().count() > 0);
+    assert!(spans.stage_profile().calls(Stage::Delivery) > 0);
+
+    assert_eq!(
+        off.obs().metrics_json(),
+        "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
+    );
+    assert_eq!(off.obs().metrics_exposition(), "");
+    assert!(off.report().metrics_json.is_empty());
+}
+
+/// Resuming from any mid-run checkpoint is byte-identical to the
+/// straight-through run at every level — trace, report, and every
+/// observability export.
+#[test]
+fn checkpoint_resume_is_byte_identical_at_every_level() {
+    for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Spans] {
+        let mut straight = leveled_sim(level, &leveled_workload());
+        straight.run();
+        let expected = (
+            run_fingerprint(&straight),
+            report_to_json(&straight.report()),
+            obs_fingerprint(&straight),
+        );
+        let checkpoints = straight.checkpoints();
+        assert!(checkpoints.len() >= 4, "{level:?}: {} checkpoints", checkpoints.len());
+        for (i, ckpt) in checkpoints.iter().enumerate() {
+            let mut resumed =
+                Simulation::restore(Box::new(SimtyPolicy::new()), ckpt).expect("restore");
+            assert_eq!(resumed.obs().level(), level);
+            resumed.run();
+            let got = (
+                run_fingerprint(&resumed),
+                report_to_json(&resumed.report()),
+                obs_fingerprint(&resumed),
+            );
+            assert_eq!(got, expected, "{level:?}: diverged from checkpoint {i}");
+        }
+    }
 }
