@@ -29,8 +29,30 @@
 //! version skew, truncation, and corruption (checksum mismatch) and the
 //! [`CheckpointStore`] falls back to the newest older snapshot that
 //! still validates.
+//!
+//! # Capture cost
+//!
+//! The trace sections of the body (`d=` deliveries, `wk=` wakeups,
+//! `iv=` interventions) only ever grow, so each trace record is encoded
+//! once per simulation: the engine keeps the encoded lines next to the
+//! simulation, extends them at every scheduled capture, and each
+//! capture, scheduled or [`Simulation::checkpoint`], copies them and
+//! encodes only the records past them. Everything else, the span and
+//! audit rings included (they evict from the front), is re-encoded at
+//! every capture; the ring capacities bound that part. Every writer
+//! appends straight into the body, with no temporary strings. A
+//! restored simulation starts with an empty cache, so its first capture
+//! encodes the whole trace.
+//!
+//! # Untrusted bodies
+//!
+//! A body that passes the checksum is still untrusted. Restore reads
+//! each line into a fixed-size field array and rejects any record count
+//! larger than the number of lines left in the body as
+//! [`CheckpointError::Malformed`], so no count makes it reserve memory
+//! or loop for records the body does not hold.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
@@ -54,7 +76,7 @@ use simty_device::energy::EnergyMeter;
 use simty_device::monsoon::PowerTrace;
 use simty_device::power::{ComponentPower, PowerModel};
 use simty_device::wakelock::WakeLockTable;
-use simty_obs::{Span, SpanCollector, SpanKind, StageProfile};
+use simty_obs::{AttrValue, Span, SpanCollector, SpanKind, StageProfile};
 
 use crate::attribution::{ActiveTask, AttributionLedger};
 use crate::config::{InvariantMode, ObsLevel, SimConfig};
@@ -181,7 +203,10 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-use crate::codec::{esc, f64_hex, fnv1a64, read_registry, unesc, write_registry, KvLines};
+use crate::codec::{
+    esc_into, fnv1a64, join, kv, push_hex16, push_u64, read_registry, unesc, unesc_cow,
+    write_registry, Esc, Field, KvLines,
+};
 
 /// One captured snapshot: the serialized body plus the two fields needed
 /// to identify it without a full parse.
@@ -213,9 +238,9 @@ impl Checkpoint {
     /// snapshots. A marker cannot be passed to `Simulation::restore`.
     pub fn marker(at: SimTime, policy: &str, payload: &str) -> Checkpoint {
         let mut body = String::new();
-        let _ = writeln!(body, "at={}", at.as_millis());
-        let _ = writeln!(body, "policy={}", esc(policy));
-        let _ = writeln!(body, "payload={}", esc(payload));
+        kv!(&mut body, "at", at);
+        kv!(&mut body, "policy", Esc(policy));
+        kv!(&mut body, "payload", Esc(payload));
         Checkpoint {
             captured_at: at,
             policy: policy.to_owned(),
@@ -497,143 +522,352 @@ impl CheckpointStore {
     }
 }
 
-macro_rules! w {
-    ($dst:expr, $($arg:tt)*) => {{ let _ = writeln!($dst, $($arg)*); }};
-}
-
-fn fmt_opt_time(t: Option<SimTime>) -> String {
-    t.map_or_else(|| "none".to_owned(), |t| t.as_millis().to_string())
-}
-
-fn fmt_alarm(a: &Alarm) -> String {
-    let repeat = match a.repeat() {
-        Repeat::OneShot => "o".to_owned(),
-        Repeat::Static(i) => format!("s:{}", i.as_millis()),
-        Repeat::Dynamic(i) => format!("d:{}", i.as_millis()),
-    };
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{}",
-        a.id().as_u64(),
-        esc(a.label()),
-        a.nominal().as_millis(),
-        a.window().as_millis(),
-        // The registered base grace: `grace()` reports the effective
-        // (possibly stretched) value, which is re-derived on restore
-        // from the persisted stretch factor below.
-        a.grace_base().as_millis(),
-        repeat,
-        match a.kind() {
-            AlarmKind::Wakeup => "w",
-            AlarmKind::NonWakeup => "n",
-        },
-        a.hardware().bits(),
-        u8::from(a.is_hardware_known()),
-        a.task_duration().as_millis(),
-        u8::from(a.is_quarantined()),
-        a.grace_stretch(),
-    )
-}
-
-fn fmt_event_kind(kind: &EventKind) -> String {
-    match kind {
-        EventKind::RtcAlarm => "rtc".to_owned(),
-        EventKind::WakeComplete => "wake".to_owned(),
-        EventKind::TaskEnd => "taskend".to_owned(),
-        EventKind::TrySleep => "trysleep".to_owned(),
-        EventKind::NonWakeupCheck => "nonwakeup".to_owned(),
-        EventKind::ExternalWake => "extwake".to_owned(),
-        EventKind::Reregister { id } => format!("rereg:{}", id.as_u64()),
-        EventKind::WatchdogCheck => "watchdog".to_owned(),
-        EventKind::ActivationRetry { slot } => format!("actretry:{slot}"),
-        EventKind::AppCrash { app, restart_after } => {
-            format!("crash:{}:{}", restart_after.as_millis(), esc(app))
-        }
-        EventKind::AppRestart { app } => format!("apprestart:{}", esc(app)),
-        EventKind::Reboot { outage } => format!("reboot:{}", outage.as_millis()),
-        EventKind::BootComplete => "boot".to_owned(),
-        EventKind::Checkpoint => "checkpoint".to_owned(),
-        EventKind::GovernorTick => "govtick".to_owned(),
-        EventKind::StormRegister { burst, k } => format!("storm:{burst}:{k}"),
+impl Field for AlarmId {
+    fn put(&self, out: &mut String) {
+        push_u64(out, self.as_u64());
     }
 }
 
-fn fmt_intervention_kind(kind: &InterventionKind) -> String {
-    match kind {
-        InterventionKind::ForcedRelease { held } => format!("forced:{}", held.as_millis()),
-        InterventionKind::ActivationRetry { attempt } => format!("actretry:{attempt}"),
-        InterventionKind::DroppedFireRetry { delay } => {
-            format!("dropped:{}", delay.as_millis())
-        }
-        InterventionKind::Quarantine => "quarantine".to_owned(),
-        InterventionKind::Recovery { quarantined_for } => {
-            format!("recovery:{}", quarantined_for.as_millis())
-        }
-        InterventionKind::AppCrash { cancelled } => format!("crash:{cancelled}"),
-        InterventionKind::AppRestart { reregistered } => format!("restart:{reregistered}"),
-        InterventionKind::Reboot { outage } => format!("reboot:{}", outage.as_millis()),
-        InterventionKind::BootCatchUp {
-            caught_up,
-            worst_delay,
-        } => format!("catchup:{caught_up}:{}", worst_delay.as_millis()),
+impl Field for HardwareSet {
+    fn put(&self, out: &mut String) {
+        self.bits().put(out);
     }
 }
 
-fn fmt_discipline(d: DeliveryDiscipline) -> String {
-    match d {
-        DeliveryDiscipline::Window => "window".to_owned(),
-        DeliveryDiscipline::PerceptibilityAware => "perc".to_owned(),
-        DeliveryDiscipline::Quantized { quantum } => format!("quant:{}", quantum.as_millis()),
-        DeliveryDiscipline::Escalating {
-            base,
-            max_quantum,
-            windows_per_level,
-        } => format!(
-            "esc:{}:{}:{windows_per_level}",
-            base.as_millis(),
-            max_quantum.as_millis()
-        ),
+impl Field for AlarmKind {
+    fn put(&self, out: &mut String) {
+        out.push(match self {
+            AlarmKind::Wakeup => 'w',
+            AlarmKind::NonWakeup => 'n',
+        });
     }
 }
 
-fn fmt_violation(v: &InvariantViolation) -> String {
-    match v {
-        InvariantViolation::PerceptibleWindowMiss {
-            label,
-            delivered_at,
-            window_end,
-            allowed_slack,
-        } => format!(
-            "miss:{}:{}:{}:{}",
-            delivered_at.as_millis(),
-            window_end.as_millis(),
-            allowed_slack.as_millis(),
-            esc(label)
-        ),
-        InvariantViolation::QueueOrderBroken { earlier, later } => {
-            format!("order:{}:{}", earlier.as_millis(), later.as_millis())
+impl Field for Repeat {
+    fn put(&self, out: &mut String) {
+        match self {
+            Repeat::OneShot => out.push('o'),
+            Repeat::Static(i) => join!(out, ':', "s", i),
+            Repeat::Dynamic(i) => join!(out, ':', "d", i),
         }
-        InvariantViolation::EnergyNotConserved {
-            ledger_mj,
-            meter_mj,
-        } => format!("energy:{}:{}", f64_hex(*ledger_mj), f64_hex(*meter_mj)),
-        InvariantViolation::WaveformMismatch { trace_mj, meter_mj } => {
-            format!("waveform:{}:{}", f64_hex(*trace_mj), f64_hex(*meter_mj))
+    }
+}
+
+impl Field for Alarm {
+    fn put(&self, out: &mut String) {
+        join!(
+            out,
+            ',',
+            self.id(),
+            Esc(self.label()),
+            self.nominal(),
+            self.window(),
+            // The registered base grace: `grace()` reports the effective
+            // (possibly stretched) value, which is re-derived on restore
+            // from the persisted stretch factor below.
+            self.grace_base(),
+            self.repeat(),
+            self.kind(),
+            self.hardware(),
+            self.is_hardware_known(),
+            self.task_duration(),
+            self.is_quarantined(),
+            self.grace_stretch(),
+        );
+    }
+}
+
+impl Field for EventKind {
+    fn put(&self, out: &mut String) {
+        match self {
+            EventKind::RtcAlarm => out.push_str("rtc"),
+            EventKind::WakeComplete => out.push_str("wake"),
+            EventKind::TaskEnd => out.push_str("taskend"),
+            EventKind::TrySleep => out.push_str("trysleep"),
+            EventKind::NonWakeupCheck => out.push_str("nonwakeup"),
+            EventKind::ExternalWake => out.push_str("extwake"),
+            EventKind::Reregister { id } => join!(out, ':', "rereg", id),
+            EventKind::WatchdogCheck => out.push_str("watchdog"),
+            EventKind::ActivationRetry { slot } => join!(out, ':', "actretry", slot),
+            EventKind::AppCrash { app, restart_after } => {
+                join!(out, ':', "crash", restart_after, Esc(app));
+            }
+            EventKind::AppRestart { app } => join!(out, ':', "apprestart", Esc(app)),
+            EventKind::Reboot { outage } => join!(out, ':', "reboot", outage),
+            EventKind::BootComplete => out.push_str("boot"),
+            EventKind::Checkpoint => out.push_str("checkpoint"),
+            EventKind::GovernorTick => out.push_str("govtick"),
+            EventKind::StormRegister { burst, k } => join!(out, ':', "storm", burst, k),
+        }
+    }
+}
+
+impl Field for InterventionKind {
+    fn put(&self, out: &mut String) {
+        match self {
+            InterventionKind::ForcedRelease { held } => join!(out, ':', "forced", held),
+            InterventionKind::ActivationRetry { attempt } => {
+                join!(out, ':', "actretry", attempt);
+            }
+            InterventionKind::DroppedFireRetry { delay } => join!(out, ':', "dropped", delay),
+            InterventionKind::Quarantine => out.push_str("quarantine"),
+            InterventionKind::Recovery { quarantined_for } => {
+                join!(out, ':', "recovery", quarantined_for);
+            }
+            InterventionKind::AppCrash { cancelled } => join!(out, ':', "crash", cancelled),
+            InterventionKind::AppRestart { reregistered } => {
+                join!(out, ':', "restart", reregistered);
+            }
+            InterventionKind::Reboot { outage } => join!(out, ':', "reboot", outage),
+            InterventionKind::BootCatchUp {
+                caught_up,
+                worst_delay,
+            } => join!(out, ':', "catchup", caught_up, worst_delay),
+        }
+    }
+}
+
+impl Field for DeliveryDiscipline {
+    fn put(&self, out: &mut String) {
+        match self {
+            DeliveryDiscipline::Window => out.push_str("window"),
+            DeliveryDiscipline::PerceptibilityAware => out.push_str("perc"),
+            DeliveryDiscipline::Quantized { quantum } => join!(out, ':', "quant", quantum),
+            DeliveryDiscipline::Escalating {
+                base,
+                max_quantum,
+                windows_per_level,
+            } => join!(out, ':', "esc", base, max_quantum, windows_per_level),
+        }
+    }
+}
+
+impl Field for InvariantViolation {
+    fn put(&self, out: &mut String) {
+        match self {
+            InvariantViolation::PerceptibleWindowMiss {
+                label,
+                delivered_at,
+                window_end,
+                allowed_slack,
+            } => join!(out, ':', "miss", delivered_at, window_end, allowed_slack, Esc(label)),
+            InvariantViolation::QueueOrderBroken { earlier, later } => {
+                join!(out, ':', "order", earlier, later);
+            }
+            InvariantViolation::EnergyNotConserved {
+                ledger_mj,
+                meter_mj,
+            } => join!(out, ':', "energy", ledger_mj, meter_mj),
+            InvariantViolation::WaveformMismatch { trace_mj, meter_mj } => {
+                join!(out, ':', "waveform", trace_mj, meter_mj);
+            }
+        }
+    }
+}
+
+impl Field for DevicePowerState {
+    fn put(&self, out: &mut String) {
+        match self {
+            DevicePowerState::Asleep => out.push_str("asleep"),
+            DevicePowerState::Waking { until } => join!(out, ':', "waking", until),
+            DevicePowerState::Awake => out.push_str("awake"),
+        }
+    }
+}
+
+impl Field for DeliveryRecord {
+    fn put(&self, out: &mut String) {
+        join!(
+            out,
+            ',',
+            self.alarm_id,
+            Esc(&self.label),
+            self.nominal,
+            self.window_end,
+            self.grace_end,
+            self.delivered_at,
+            self.repeat_interval.map_or(0, SimDuration::as_millis),
+            self.hardware,
+            self.perceptible,
+            self.kind,
+            self.entry_size,
+            self.task_duration,
+        );
+    }
+}
+
+impl Field for InterventionRecord {
+    fn put(&self, out: &mut String) {
+        join!(out, ',', self.at, Esc(&self.app), self.overhead_mj, self.kind);
+    }
+}
+
+impl Field for Placement {
+    fn put(&self, out: &mut String) {
+        match self {
+            Placement::Existing(i) => {
+                out.push('e');
+                i.put(out);
+            }
+            Placement::NewEntry => out.push('n'),
+        }
+    }
+}
+
+impl Field for CandidateAudit {
+    fn put(&self, out: &mut String) {
+        join!(out, '.', self.index, self.delivery_time);
+        out.push('.');
+        out.push(match self.time {
+            TimeSimilarity::High => 'h',
+            TimeSimilarity::Medium => 'm',
+            TimeSimilarity::Low => 'l',
+        });
+        out.push('.');
+        match self.hw_rank {
+            Some(rank) => rank.put(out),
+            None => out.push('-'),
+        }
+        out.push('.');
+        out.push(match self.verdict {
+            CandidateVerdict::Won => 'w',
+            CandidateVerdict::Outranked => 'o',
+            CandidateVerdict::NotApplicable => 'n',
+            CandidateVerdict::PastCutoff => 'c',
+        });
+    }
+}
+
+impl Field for PlacementAudit {
+    fn put(&self, out: &mut String) {
+        join!(
+            out,
+            ',',
+            self.at,
+            self.alarm_id,
+            self.nominal,
+            self.perceptible,
+            self.placement,
+            Esc(&self.app),
+        );
+        out.push(',');
+        if self.candidates.is_empty() {
+            out.push('-');
+        }
+        for (i, c) in self.candidates.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            c.put(out);
+        }
+    }
+}
+
+impl Field for Span {
+    fn put(&self, out: &mut String) {
+        join!(
+            out,
+            ',',
+            self.seq,
+            self.kind.as_str(),
+            self.start_ms,
+            self.end_ms,
+            self.attrs.len()
+        );
+        for (k, v) in &self.attrs {
+            out.push(',');
+            esc_into(out, k);
+            out.push(',');
+            match v {
+                // Digits need no escaping and no rendered temporary.
+                AttrValue::U64(n) => push_u64(out, *n),
+                other => esc_into(out, &other.render()),
+            }
         }
     }
 }
 
 fn write_queue(body: &mut String, key: &str, queue: &AlarmQueue) {
-    w!(body, "{key}={}", queue.len());
+    kv!(body, key, queue.len());
     for entry in queue.entries() {
-        w!(
-            body,
-            "entry={},{}",
-            fmt_discipline(entry.discipline()),
-            entry.len()
-        );
+        kv!(body, "entry", entry.discipline(), entry.len());
         for alarm in entry.alarms() {
-            w!(body, "alarm={}", fmt_alarm(alarm));
+            kv!(body, "alarm", alarm);
         }
+    }
+}
+
+/// The encoded `key=` lines of a prefix of an append-only record list.
+#[derive(Debug, Default)]
+struct Lines {
+    text: String,
+    /// How many records `text` covers.
+    n: usize,
+}
+
+impl Lines {
+    /// Encodes the records past the covered prefix into the cache.
+    fn extend<T: Field>(&mut self, key: &str, records: &[T]) {
+        for r in &records[self.n..] {
+            kv!(&mut self.text, key, r);
+        }
+        self.n = records.len();
+    }
+
+    /// Appends the cached lines to `body`, then the records past them.
+    fn write<T: Field>(&self, body: &mut String, key: &str, records: &[T]) {
+        body.push_str(&self.text);
+        for r in &records[self.n..] {
+            kv!(body, key, r);
+        }
+    }
+}
+
+/// The encoded `d=`, `wk=` and `iv=` lines of a prefix of a [`Trace`],
+/// and the largest alarm id among its deliveries.
+///
+/// The trace is append-only, so the engine extends this at every
+/// scheduled capture and each capture copies it, encoding only the
+/// records past it: the trace costs one encoding per simulation, not
+/// one per capture. A restored simulation starts with an empty one.
+#[derive(Debug, Default)]
+pub(crate) struct TraceLines {
+    deliveries: Lines,
+    wakeups: Lines,
+    interventions: Lines,
+    max_alarm_id: u64,
+}
+
+impl TraceLines {
+    /// Encodes the records `trace` gained since the last call.
+    pub(crate) fn extend(&mut self, trace: &Trace) {
+        self.max_alarm_id = self.max_alarm_id(trace);
+        self.deliveries.extend("d", &trace.deliveries);
+        self.wakeups.extend("wk", &trace.wakeups);
+        self.interventions.extend("iv", &trace.interventions);
+    }
+
+    /// The largest alarm id among `trace`'s deliveries.
+    fn max_alarm_id(&self, trace: &Trace) -> u64 {
+        trace.deliveries[self.deliveries.n..]
+            .iter()
+            .map(|d| d.alarm_id.as_u64())
+            .fold(self.max_alarm_id, u64::max)
+    }
+
+    /// Appends `trace`'s section of the body.
+    fn write(&self, body: &mut String, trace: &Trace) {
+        kv!(body, "deliveries", trace.deliveries.len());
+        self.deliveries.write(body, "d", &trace.deliveries);
+        kv!(body, "wakeups", trace.wakeups.len());
+        self.wakeups.write(body, "wk", &trace.wakeups);
+        kv!(body, "entry_deliveries", trace.entry_deliveries);
+        kv!(body, "interventions", trace.interventions.len());
+        self.interventions.write(body, "iv", &trace.interventions);
+    }
+
+    fn len(&self) -> usize {
+        self.deliveries.text.len() + self.wakeups.text.len() + self.interventions.text.len()
     }
 }
 
@@ -646,400 +880,292 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
         sim.due_buffer.is_empty(),
         "capture must happen at an event boundary"
     );
-    let mut body = String::with_capacity(16 * 1024);
+    let cached = &sim.trace_lines;
+    let mut out = String::with_capacity(cached.len() + 64 * 1024);
+    let body = &mut out;
 
     // Identity.
-    w!(body, "at={}", sim.now.as_millis());
-    w!(body, "policy={}", esc(sim.manager.policy_name()));
+    kv!(body, "at", sim.now);
+    kv!(body, "policy", Esc(sim.manager.policy_name()));
 
     // The id-counter watermark: the largest alarm id anywhere in the
     // captured state, so restore can reserve past it.
-    let mut max_id = 0u64;
-    let mut see = |id: AlarmId| max_id = max_id.max(id.as_u64());
-    for queue in [sim.manager.wakeup_queue(), sim.manager.non_wakeup_queue()] {
-        for entry in queue.entries() {
-            for alarm in entry.alarms() {
-                see(alarm.id());
-            }
-        }
-    }
-    for alarms in sim.crash_stash.values() {
-        for alarm in alarms {
-            see(alarm.id());
-        }
-    }
-    for d in &sim.trace.deliveries {
-        see(d.alarm_id);
-    }
     let (events, next_seq) = sim.events.snapshot();
-    for ev in &events {
-        if let EventKind::Reregister { id } = ev.kind {
-            see(id);
-        }
-    }
-    w!(body, "max_alarm_id={max_id}");
+    let queued = [sim.manager.wakeup_queue(), sim.manager.non_wakeup_queue()]
+        .into_iter()
+        .flat_map(|q| q.entries().iter().flat_map(QueueEntry::alarms));
+    let stashed = sim.crash_stash.values().flatten();
+    let rereg = events.iter().filter_map(|ev| match ev.kind {
+        EventKind::Reregister { id } => Some(id.as_u64()),
+        _ => None,
+    });
+    let max_id = queued
+        .chain(stashed)
+        .map(|a| a.id().as_u64())
+        .chain(rereg)
+        .fold(cached.max_alarm_id(&sim.trace), u64::max);
+    kv!(body, "max_alarm_id", max_id);
 
     // Config.
-    w!(body, "duration={}", sim.config.duration.as_millis());
-    w!(body, "record_waveform={}", u8::from(sim.config.record_waveform));
-    w!(
+    let config = &sim.config;
+    kv!(body, "duration", config.duration);
+    kv!(body, "record_waveform", config.record_waveform);
+    kv!(
         body,
-        "invariants={}",
-        match sim.config.invariants {
+        "invariants",
+        match config.invariants {
             InvariantMode::Off => "off",
             InvariantMode::Report => "report",
             InvariantMode::Strict => "strict",
         }
     );
-    w!(
-        body,
-        "checkpoint_every={}",
-        sim.config
-            .checkpoint_every
-            .map_or_else(|| "none".to_owned(), |d| d.as_millis().to_string())
-    );
-    w!(body, "audit_capacity={}", sim.config.audit_capacity);
+    kv!(body, "checkpoint_every", config.checkpoint_every);
+    kv!(body, "audit_capacity", config.audit_capacity);
     // Written only when overridden: default-capacity captures keep the
     // original byte layout, and restore treats absence as the default.
-    if sim.config.span_capacity != SPAN_CAPACITY {
-        w!(body, "span_capacity={}", sim.config.span_capacity);
+    if config.span_capacity != SPAN_CAPACITY {
+        kv!(body, "span_capacity", config.span_capacity);
     }
     // Written only below the default level: `Spans` captures keep the
     // original byte layout, and restore treats absence as `Spans`.
-    match sim.config.obs {
-        ObsLevel::Off => w!(body, "obs=0"),
-        ObsLevel::Metrics => w!(body, "obs=metrics"),
+    match config.obs {
+        ObsLevel::Off => kv!(body, "obs", "0"),
+        ObsLevel::Metrics => kv!(body, "obs", "metrics"),
         ObsLevel::Spans => {}
     }
-    w!(body, "external_wakes={}", sim.config.external_wakes.len());
-    for t in &sim.config.external_wakes {
-        w!(body, "xw={}", t.as_millis());
+    kv!(body, "external_wakes", config.external_wakes.len());
+    for t in &config.external_wakes {
+        kv!(body, "xw", t);
     }
-    match &sim.config.online_watchdog {
-        None => w!(body, "watchdog=none"),
-        Some(wd) => w!(
+    match &config.online_watchdog {
+        None => kv!(body, "watchdog", "none"),
+        Some(wd) => kv!(
             body,
-            "watchdog={},{},{},{}",
-            wd.policy.max_task_hold.as_millis(),
-            f64_hex(wd.policy.max_duty_cycle),
+            "watchdog",
+            wd.policy.max_task_hold,
+            wd.policy.max_duty_cycle,
             wd.quarantine_after,
             wd.probation
         ),
     }
-    match &sim.config.admission {
-        None => w!(body, "admission=none"),
-        Some(a) => w!(
+    match &config.admission {
+        None => kv!(body, "admission", "none"),
+        Some(a) => kv!(
             body,
-            "admission={},{},{},{},{},{}",
-            a.perceptible.replenish_every.as_millis(),
+            "admission",
+            a.perceptible.replenish_every,
             a.perceptible.burst,
-            a.deferrable.replenish_every.as_millis(),
+            a.deferrable.replenish_every,
             a.deferrable.burst,
             a.defer_limit,
             a.demote_after
         ),
     }
-    match &sim.config.degradation {
-        None => w!(body, "degradation=none"),
-        Some(g) => w!(
+    match &config.degradation {
+        None => kv!(body, "degradation", "none"),
+        Some(g) => kv!(
             body,
-            "degradation={},{},{},{},{},{},{},{},{}",
-            f64_hex(g.capacity_mj),
-            g.check_every.as_millis(),
+            "degradation",
+            g.capacity_mj,
+            g.check_every,
             g.saver_enter_milli,
             g.saver_exit_milli,
             g.critical_enter_milli,
             g.critical_exit_milli,
             g.saver_stretch_milli,
             g.critical_stretch_milli,
-            u8::from(g.shed_in_critical)
+            g.shed_in_critical
         ),
     }
 
     // Power model.
-    let power = &sim.config.power;
-    w!(body, "sleep_mw={}", f64_hex(power.sleep_power_mw));
-    w!(body, "awake_mw={}", f64_hex(power.awake_base_power_mw));
-    w!(body, "transition_mj={}", f64_hex(power.wake_transition_energy_mj));
-    w!(body, "wake_latency_ms={}", power.wake_latency.as_millis());
-    w!(body, "sleep_linger_ms={}", power.sleep_linger.as_millis());
+    let power = &config.power;
+    kv!(body, "sleep_mw", power.sleep_power_mw);
+    kv!(body, "awake_mw", power.awake_base_power_mw);
+    kv!(body, "transition_mj", power.wake_transition_energy_mj);
+    kv!(body, "wake_latency_ms", power.wake_latency);
+    kv!(body, "sleep_linger_ms", power.sleep_linger);
     for c in HardwareComponent::ALL {
         let p = power.component(c);
-        w!(
-            body,
-            "component={},{}",
-            f64_hex(p.activation_energy_mj),
-            f64_hex(p.active_power_mw)
-        );
+        kv!(body, "component", p.activation_energy_mj, p.active_power_mw);
     }
 
     // Alarm manager.
-    w!(body, "mgr_clock={}", sim.manager.now().as_millis());
-    w!(body, "mgr_stretch={}", sim.manager.grace_stretch());
-    write_queue(&mut body, "wakeup_entries", sim.manager.wakeup_queue());
-    write_queue(&mut body, "non_wakeup_entries", sim.manager.non_wakeup_queue());
+    kv!(body, "mgr_clock", sim.manager.now());
+    kv!(body, "mgr_stretch", sim.manager.grace_stretch());
+    write_queue(body, "wakeup_entries", sim.manager.wakeup_queue());
+    write_queue(body, "non_wakeup_entries", sim.manager.non_wakeup_queue());
 
     // Device.
     let dev = sim.device.snapshot();
-    w!(
-        body,
-        "dev_state={}",
-        match dev.state {
-            DevicePowerState::Asleep => "asleep".to_owned(),
-            DevicePowerState::Waking { until } => format!("waking:{}", until.as_millis()),
-            DevicePowerState::Awake => "awake".to_owned(),
-        }
-    );
+    kv!(body, "dev_state", dev.state);
     let (sleep_mj, transition_mj, awake_mj, component_mj) = dev.meter.parts();
-    w!(
-        body,
-        "dev_meter={},{},{}",
-        f64_hex(sleep_mj),
-        f64_hex(transition_mj),
-        f64_hex(awake_mj)
-    );
-    w!(
-        body,
-        "dev_meter_components={}",
-        component_mj.iter().map(|v| f64_hex(*v)).collect::<Vec<_>>().join(",")
-    );
+    kv!(body, "dev_meter", sleep_mj, transition_mj, awake_mj);
+    kv!(body, "dev_meter_components", component_mj);
     let (expiry, activations) = dev.locks.parts();
-    w!(
-        body,
-        "dev_locks_expiry={}",
-        expiry.iter().map(|e| fmt_opt_time(*e)).collect::<Vec<_>>().join(",")
-    );
-    w!(
-        body,
-        "dev_locks_activations={}",
-        activations.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-    );
-    w!(body, "dev_clock={}", dev.clock.as_millis());
-    w!(body, "dev_cpu_busy={}", dev.cpu_busy_until.as_millis());
-    w!(body, "dev_idle_since={}", fmt_opt_time(dev.idle_since));
-    w!(body, "dev_wake_count={}", dev.wake_count);
-    w!(body, "dev_awake_time={}", dev.awake_time.as_millis());
+    kv!(body, "dev_locks_expiry", expiry);
+    kv!(body, "dev_locks_activations", activations);
+    kv!(body, "dev_clock", dev.clock);
+    kv!(body, "dev_cpu_busy", dev.cpu_busy_until);
+    kv!(body, "dev_idle_since", dev.idle_since);
+    kv!(body, "dev_wake_count", dev.wake_count);
+    kv!(body, "dev_awake_time", dev.awake_time);
     match &dev.monitor {
-        None => w!(body, "dev_monitor=none"),
+        None => kv!(body, "dev_monitor", "none"),
         Some(trace) => {
-            w!(body, "dev_monitor=present");
-            w!(body, "levels={}", trace.levels().len());
+            kv!(body, "dev_monitor", "present");
+            kv!(body, "levels", trace.levels().len());
             for (t, mw) in trace.levels() {
-                w!(body, "lv={},{}", t.as_millis(), f64_hex(*mw));
+                kv!(body, "lv", t, mw);
             }
-            w!(body, "impulses={}", trace.impulses().len());
+            kv!(body, "impulses", trace.impulses().len());
             for (t, mj) in trace.impulses() {
-                w!(body, "im={},{}", t.as_millis(), f64_hex(*mj));
+                kv!(body, "im", t, mj);
             }
         }
     }
 
     // Event queue (snapshot preserves exact sequence numbers).
-    w!(body, "next_seq={next_seq}");
-    w!(body, "events={}", events.len());
+    kv!(body, "next_seq", next_seq);
+    kv!(body, "events", events.len());
     for ev in &events {
-        w!(
-            body,
-            "ev={},{},{}",
-            ev.time.as_millis(),
-            ev.seq,
-            fmt_event_kind(&ev.kind)
-        );
+        kv!(body, "ev", ev.time, ev.seq, ev.kind);
     }
     let mut armed: Vec<(u8, u64)> = sim.armed.iter().copied().collect();
     armed.sort_unstable();
-    w!(body, "armed={}", armed.len());
+    kv!(body, "armed", armed.len());
     for (tag, ms) in armed {
-        w!(body, "arm={tag},{ms}");
+        kv!(body, "arm", tag, ms);
     }
 
     // Trace.
-    w!(body, "deliveries={}", sim.trace.deliveries.len());
-    for d in &sim.trace.deliveries {
-        w!(
-            body,
-            "d={},{},{},{},{},{},{},{},{},{},{},{}",
-            d.alarm_id.as_u64(),
-            esc(&d.label),
-            d.nominal.as_millis(),
-            d.window_end.as_millis(),
-            d.grace_end.as_millis(),
-            d.delivered_at.as_millis(),
-            d.repeat_interval.map_or(0, SimDuration::as_millis),
-            d.hardware.bits(),
-            u8::from(d.perceptible),
-            match d.kind {
-                AlarmKind::Wakeup => "w",
-                AlarmKind::NonWakeup => "n",
-            },
-            d.entry_size,
-            d.task_duration.as_millis()
-        );
-    }
-    w!(body, "wakeups={}", sim.trace.wakeups.len());
-    for t in &sim.trace.wakeups {
-        w!(body, "wk={}", t.as_millis());
-    }
-    w!(body, "entry_deliveries={}", sim.trace.entry_deliveries);
-    w!(body, "interventions={}", sim.trace.interventions.len());
-    for i in &sim.trace.interventions {
-        w!(
-            body,
-            "iv={},{},{},{}",
-            i.at.as_millis(),
-            esc(&i.app),
-            f64_hex(i.overhead_mj),
-            fmt_intervention_kind(&i.kind)
-        );
-    }
+    cached.write(body, &sim.trace);
 
     // Attribution ledger (its power model is config.power; not repeated).
-    w!(body, "ledger_active={}", sim.ledger.active.len());
-    for t in &sim.ledger.active {
-        w!(
-            body,
-            "la={},{},{}",
-            esc(&t.app),
-            t.hardware.bits(),
-            t.until.as_millis()
-        );
+    let ledger = &sim.ledger;
+    kv!(body, "ledger_active", ledger.active.len());
+    for t in &ledger.active {
+        kv!(body, "la", Esc(&t.app), t.hardware, t.until);
     }
-    w!(body, "ledger_apps={}", sim.ledger.per_app.len());
-    for (app, mj) in &sim.ledger.per_app {
-        w!(body, "lp={},{}", esc(app), f64_hex(*mj));
+    kv!(body, "ledger_apps", ledger.per_app.len());
+    for (app, mj) in &ledger.per_app {
+        kv!(body, "lp", Esc(app), mj);
     }
-    w!(body, "ledger_interventions={}", sim.ledger.interventions.len());
-    for (app, n) in &sim.ledger.interventions {
-        w!(body, "li={},{n}", esc(app));
+    kv!(body, "ledger_interventions", ledger.interventions.len());
+    for (app, n) in &ledger.interventions {
+        kv!(body, "li", Esc(app), n);
     }
-    w!(body, "ledger_overhead={}", f64_hex(sim.ledger.overhead_mj));
-    w!(body, "ledger_pending={}", f64_hex(sim.ledger.pending_transition_mj));
-    w!(body, "ledger_last={}", sim.ledger.last.as_millis());
-    w!(body, "ledger_awake={}", u8::from(sim.ledger.awake));
+    kv!(body, "ledger_overhead", ledger.overhead_mj);
+    kv!(body, "ledger_pending", ledger.pending_transition_mj);
+    kv!(body, "ledger_last", ledger.last);
+    kv!(body, "ledger_awake", ledger.awake);
 
     // Fault-injection runtime.
     match &sim.faults {
-        None => w!(body, "faults=none"),
+        None => kv!(body, "faults", "none"),
         Some(fs) => {
-            w!(body, "faults=present");
+            kv!(body, "faults", "present");
             let plan = &fs.plan;
-            w!(body, "f_seed={}", plan.seed);
-            w!(body, "f_jitter={}", plan.rtc_jitter.as_millis());
-            w!(body, "f_drop_p={}", f64_hex(plan.drop_fire_p));
-            w!(body, "f_drop_retry={}", plan.drop_retry.as_millis());
-            w!(body, "f_drop_cap={}", plan.drop_cap);
-            w!(body, "f_overrun_p={}", f64_hex(plan.overrun_p));
-            w!(body, "f_overrun={}", plan.overrun.as_millis());
-            w!(body, "f_leak_p={}", f64_hex(plan.leak_p));
-            w!(body, "f_leak={}", plan.leak.as_millis());
-            w!(body, "f_act_p={}", f64_hex(plan.activation_failure_p));
-            w!(body, "f_backoff_base={}", plan.backoff_base.as_millis());
-            w!(body, "f_backoff_cap={}", plan.backoff_cap.as_millis());
-            w!(body, "f_max_attempts={}", plan.max_attempts);
-            w!(body, "f_crashes={}", plan.crashes.len());
+            kv!(body, "f_seed", plan.seed);
+            kv!(body, "f_jitter", plan.rtc_jitter);
+            kv!(body, "f_drop_p", plan.drop_fire_p);
+            kv!(body, "f_drop_retry", plan.drop_retry);
+            kv!(body, "f_drop_cap", plan.drop_cap);
+            kv!(body, "f_overrun_p", plan.overrun_p);
+            kv!(body, "f_overrun", plan.overrun);
+            kv!(body, "f_leak_p", plan.leak_p);
+            kv!(body, "f_leak", plan.leak);
+            kv!(body, "f_act_p", plan.activation_failure_p);
+            kv!(body, "f_backoff_base", plan.backoff_base);
+            kv!(body, "f_backoff_cap", plan.backoff_cap);
+            kv!(body, "f_max_attempts", plan.max_attempts);
+            kv!(body, "f_crashes", plan.crashes.len());
             for c in &plan.crashes {
-                w!(
-                    body,
-                    "fc={},{},{}",
-                    c.at.as_millis(),
-                    c.restart_after.as_millis(),
-                    esc(&c.app)
-                );
+                kv!(body, "fc", c.at, c.restart_after, Esc(&c.app));
             }
-            w!(body, "f_storms={}", plan.storms.len());
+            kv!(body, "f_storms", plan.storms.len());
             for s in &plan.storms {
-                w!(
-                    body,
-                    "fs={},{},{}",
-                    s.start.as_millis(),
-                    s.duration.as_millis(),
-                    s.mean_interval.as_millis()
-                );
+                kv!(body, "fs", s.start, s.duration, s.mean_interval);
             }
-            w!(body, "f_rng={:016x}", fs.rng.state());
+            body.push_str("f_rng=");
+            push_hex16(body, fs.rng.state());
+            body.push('\n');
             match fs.dropping {
-                None => w!(body, "f_dropping=none"),
-                Some((t, n)) => w!(body, "f_dropping={},{n}", t.as_millis()),
+                None => kv!(body, "f_dropping", "none"),
+                Some((t, n)) => kv!(body, "f_dropping", t, n),
             }
         }
     }
 
     // Invariant monitor (slack may have been widened after construction).
     match &sim.monitor {
-        None => w!(body, "monitor=none"),
+        None => kv!(body, "monitor", "none"),
         Some(m) => {
-            w!(body, "monitor=present");
-            w!(body, "m_slack={}", m.slack.as_millis());
-            w!(body, "m_panic={}", u8::from(m.panic_on_violation));
-            w!(body, "m_misses={}", m.window_misses);
-            w!(body, "m_violations={}", m.violations.len());
+            kv!(body, "monitor", "present");
+            kv!(body, "m_slack", m.slack);
+            kv!(body, "m_panic", m.panic_on_violation);
+            kv!(body, "m_misses", m.window_misses);
+            kv!(body, "m_violations", m.violations.len());
             for v in &m.violations {
-                w!(body, "mv={}", fmt_violation(v));
+                kv!(body, "mv", v);
             }
         }
     }
 
     // Watchdog runtime state.
-    w!(body, "holds={}", sim.holds.len());
+    kv!(body, "holds", sim.holds.len());
     for h in &sim.holds {
-        w!(
-            body,
-            "h={},{},{},{}",
-            h.started.as_millis(),
-            h.until.as_millis(),
-            h.hardware.bits(),
-            esc(&h.app)
-        );
+        kv!(body, "h", h.started, h.until, h.hardware, Esc(&h.app));
     }
-    w!(body, "offenses={}", sim.offenses.len());
+    kv!(body, "offenses", sim.offenses.len());
     for (app, n) in &sim.offenses {
-        w!(body, "of={n},{}", esc(app));
+        kv!(body, "of", n, Esc(app));
     }
-    w!(body, "quarantined={}", sim.quarantined.len());
+    kv!(body, "quarantined", sim.quarantined.len());
     for (app, (since, clean)) in &sim.quarantined {
-        w!(body, "qa={},{clean},{}", since.as_millis(), esc(app));
+        kv!(body, "qa", since, clean, Esc(app));
     }
-    w!(body, "retries={}", sim.activation_retries.len());
+    kv!(body, "retries", sim.activation_retries.len());
     for r in &sim.activation_retries {
-        w!(
+        kv!(
             body,
-            "rt={},{},{},{},{},{}",
-            r.until.as_millis(),
+            "rt",
+            r.until,
             r.attempt,
-            u8::from(r.done),
-            f64_hex(r.overhead_mj),
-            r.hardware.bits(),
-            esc(&r.app)
+            r.done,
+            r.overhead_mj,
+            r.hardware,
+            Esc(&r.app)
         );
     }
-    w!(body, "stash_apps={}", sim.crash_stash.len());
+    kv!(body, "stash_apps", sim.crash_stash.len());
     for (app, alarms) in &sim.crash_stash {
-        w!(body, "stash={},{}", alarms.len(), esc(app));
+        kv!(body, "stash", alarms.len(), Esc(app));
         for alarm in alarms {
-            w!(body, "alarm={}", fmt_alarm(alarm));
+            kv!(body, "alarm", alarm);
         }
     }
-    w!(body, "energy_checked={}", u8::from(sim.energy_checked));
-    w!(body, "down_until={}", fmt_opt_time(sim.down_until));
+    kv!(body, "energy_checked", sim.energy_checked);
+    kv!(body, "down_until", sim.down_until);
 
     // Admission controller: per-app bucket state in BTreeMap order, so
     // the rendering is deterministic. The escaped app label goes last.
     match &sim.admission {
-        None => w!(body, "adm=none"),
+        None => kv!(body, "adm", "none"),
         Some(ctl) => {
-            w!(body, "adm={}", ctl.app_count());
+            kv!(body, "adm", ctl.app_count());
             for (app, st) in ctl.apps() {
-                w!(
+                kv!(
                     body,
-                    "aa={},{},{},{},{},{},{},{}",
+                    "aa",
                     st.perceptible.tokens,
-                    st.perceptible.last_refill.as_millis(),
+                    st.perceptible.last_refill,
                     st.deferrable.tokens,
-                    st.deferrable.last_refill.as_millis(),
-                    st.defer_horizon.as_millis(),
+                    st.deferrable.last_refill,
+                    st.defer_horizon,
                     st.rejections,
-                    u8::from(st.demoted),
-                    esc(app)
+                    st.demoted,
+                    Esc(app)
                 );
             }
         }
@@ -1047,42 +1173,42 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
 
     // Degradation governor runtime state (config is captured above).
     match &sim.governor {
-        None => w!(body, "gov=none"),
-        Some(g) => w!(
+        None => kv!(body, "gov", "none"),
+        Some(g) => kv!(
             body,
-            "gov={},{},{},{}",
+            "gov",
             g.tier.name(),
-            g.tier_since.as_millis(),
-            g.in_saver.as_millis(),
-            g.in_critical.as_millis()
+            g.tier_since,
+            g.in_saver,
+            g.in_critical
         ),
     }
 
     // Registration-storm bursts (needed so pending StormRegister events
     // can rebuild their alarms after restore).
-    w!(body, "storm_bursts={}", sim.storm.len());
+    kv!(body, "storm_bursts", sim.storm.len());
     for b in &sim.storm {
-        w!(
+        kv!(
             body,
-            "sb={},{},{},{},{},{},{},{},{}",
-            b.start.as_millis(),
+            "sb",
+            b.start,
             b.count,
-            b.every.as_millis(),
-            b.period.as_millis(),
-            u8::from(b.perceptible),
-            b.task.as_millis(),
+            b.every,
+            b.period,
+            b.perceptible,
+            b.task,
             b.window_milli,
             b.grace_milli,
-            esc(&b.app)
+            Esc(&b.app)
         );
     }
 
     // Overload counters. Time-in-tier and the final tier are derived
     // from the governor at report time, so only counters persist.
     let ov = &sim.overload;
-    w!(
+    kv!(
         body,
-        "ov={},{},{},{},{},{},{}",
+        "ov",
         ov.storm_registrations,
         ov.admitted,
         ov.deferred,
@@ -1096,93 +1222,57 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
     // captured: `ObsLayer::new` re-creates both identically on restore,
     // so only the mutable state needs to round-trip.
     let obs = &sim.obs;
-    w!(body, "obs_next_seq={}", obs.spans.next_seq());
-    w!(body, "obs_span_dropped={}", obs.spans.dropped());
-    w!(body, "obs_spans={}", obs.spans.len());
+    kv!(body, "obs_next_seq", obs.spans.next_seq());
+    kv!(body, "obs_span_dropped", obs.spans.dropped());
+    kv!(body, "obs_spans", obs.spans.len());
     for s in obs.spans.iter() {
-        let mut line = format!(
-            "os={},{},{},{},{}",
-            s.seq,
-            s.kind.as_str(),
-            s.start_ms,
-            s.end_ms,
-            s.attrs.len()
-        );
-        for (k, v) in &s.attrs {
-            line.push(',');
-            line.push_str(&esc(k));
-            line.push(',');
-            line.push_str(&esc(&v.render()));
-        }
-        w!(body, "{line}");
+        kv!(body, "os", s);
     }
-    write_registry(&mut body, &obs.metrics);
-    w!(body, "obs_audit_dropped={}", obs.audit_dropped);
-    w!(body, "obs_audits={}", obs.audits.len());
+    write_registry(body, &obs.metrics);
+    kv!(body, "obs_audit_dropped", obs.audit_dropped);
+    kv!(body, "obs_audits", obs.audits.len());
     for a in &obs.audits {
-        let cands = if a.candidates.is_empty() {
-            "-".to_owned()
-        } else {
-            a.candidates
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{}.{}.{}.{}.{}",
-                        c.index,
-                        c.delivery_time.as_millis(),
-                        match c.time {
-                            TimeSimilarity::High => "h",
-                            TimeSimilarity::Medium => "m",
-                            TimeSimilarity::Low => "l",
-                        },
-                        c.hw_rank.map_or_else(|| "-".to_owned(), |r| r.to_string()),
-                        match c.verdict {
-                            CandidateVerdict::Won => "w",
-                            CandidateVerdict::Outranked => "o",
-                            CandidateVerdict::NotApplicable => "n",
-                            CandidateVerdict::PastCutoff => "c",
-                        }
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(";")
-        };
-        w!(
-            body,
-            "oa={},{},{},{},{},{},{cands}",
-            a.at.as_millis(),
-            a.alarm_id.as_u64(),
-            a.nominal.as_millis(),
-            u8::from(a.perceptible),
-            match a.placement {
-                Placement::Existing(i) => format!("e{i}"),
-                Placement::NewEntry => "n".to_owned(),
-            },
-            esc(&a.app)
-        );
+        kv!(body, "oa", a);
     }
-    w!(body, "obs_aliases={}", obs.aliases.len());
+    kv!(body, "obs_aliases", obs.aliases.len());
     for (raw, ordinal) in &obs.aliases {
-        w!(body, "ol={raw},{ordinal}");
+        kv!(body, "ol", raw, ordinal);
     }
-    w!(body, "obs_wake={}", fmt_opt_time(obs.wake_open));
+    kv!(body, "obs_wake", obs.wake_open);
 
+    // Snapshots are kept (the engine holds every scheduled one), so
+    // return the growth headroom.
+    out.shrink_to_fit();
     Checkpoint {
         captured_at: sim.now,
         policy: sim.manager.policy_name().to_owned(),
-        body,
+        body: out,
     }
 }
 
 /// A line-oriented `key=value` parser over a checkpoint body.
 struct Parser<'a> {
     src: KvLines<'a>,
+    /// Lines in the whole body, the bound on every record count.
+    lines: usize,
+    /// One shared label per distinct (escaped) app name, as in a live
+    /// run, where an app's alarms and deliveries share one `Arc<str>`.
+    labels: HashMap<&'a str, Arc<str>>,
 }
 
 impl<'a> Parser<'a> {
     fn new(body: &'a str) -> Self {
+        // What `str::lines` yields: one line per `\n`, plus an
+        // unterminated tail. (A `u32` tally per chunk vectorizes.)
+        let newlines: usize = body
+            .as_bytes()
+            .chunks(1 << 20)
+            .map(|c| c.iter().fold(0u32, |n, &b| n + u32::from(b == b'\n')) as usize)
+            .sum();
         Parser {
             src: KvLines::new(body),
+            lines: newlines + usize::from(!body.is_empty() && !body.ends_with('\n')),
+            labels: HashMap::new(),
         }
     }
 
@@ -1239,9 +1329,27 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads a record count. Every record takes at least one line, so a
+    /// count larger than the lines left in the body is malformed: no
+    /// decoder reserves memory or loops on a count the body cannot back.
     fn count(&mut self, key: &str) -> Result<usize, CheckpointError> {
         let v = self.kv(key)?;
-        self.usize_of(v)
+        let n = self.usize_of(v)?;
+        self.bounded(n)
+    }
+
+    /// `n` if at least `n` lines are left in the body (see [`count`](Self::count)).
+    fn bounded(&self, n: usize) -> Result<usize, CheckpointError> {
+        let left = self.lines.saturating_sub(self.src.line_no());
+        if n > left {
+            return Err(self.err(format!("count {n} exceeds the {left} lines left in the body")));
+        }
+        Ok(n)
+    }
+
+    /// The shared label for the escaped app name `raw`.
+    fn label(&mut self, raw: &'a str) -> Arc<str> {
+        Arc::clone(self.labels.entry(raw).or_insert_with(|| unesc_cow(raw).into()))
     }
 
     fn kv_time(&mut self, key: &str) -> Result<SimTime, CheckpointError> {
@@ -1279,23 +1387,48 @@ impl<'a> Parser<'a> {
         self.opt_time(v)
     }
 
-    /// Splits a comma-separated value into exactly `n` raw fields.
-    fn fields(&self, value: &'a str, n: usize) -> Result<Vec<&'a str>, CheckpointError> {
-        let parts: Vec<&str> = value.split(',').collect();
-        if parts.len() != n {
-            return Err(self.err(format!("expected {n} fields, got {}", parts.len())));
+    /// Splits a comma-separated value into exactly `N` raw fields.
+    fn fields<const N: usize>(&self, value: &'a str) -> Result<[&'a str; N], CheckpointError> {
+        self.split(value, b',')
+    }
+
+    /// Splits a value at the ASCII byte `sep` into exactly `N` raw
+    /// fields (an ASCII byte never falls inside a multi-byte char).
+    fn split<const N: usize>(
+        &self,
+        value: &'a str,
+        sep: u8,
+    ) -> Result<[&'a str; N], CheckpointError> {
+        debug_assert!(sep.is_ascii());
+        let mut out = [""; N];
+        let (mut got, mut start) = (0, 0);
+        for (i, &b) in value.as_bytes().iter().enumerate() {
+            if b == sep {
+                if got < N {
+                    out[got] = &value[start..i];
+                }
+                got += 1;
+                start = i + 1;
+            }
         }
-        Ok(parts)
+        if got < N {
+            out[got] = &value[start..];
+        }
+        got += 1;
+        if got != N {
+            return Err(self.err(format!("expected {N} fields, got {got}")));
+        }
+        Ok(out)
     }
 
     fn alarm(&mut self) -> Result<Alarm, CheckpointError> {
         let v = self.kv("alarm")?;
-        let f = self.fields(v, 12)?;
+        let f = self.fields::<12>(v)?;
         let repeat = self.repeat_of(f[5])?;
         let kind = self.kind_of(f[6])?;
         Ok(Alarm::restore(
             AlarmId::from_raw(self.u64_of(f[0])?),
-            unesc(f[1]).into(),
+            self.label(f[1]),
             self.time(f[2])?,
             self.dur(f[3])?,
             self.dur(f[4])?,
@@ -1372,7 +1505,7 @@ impl<'a> Parser<'a> {
         queue.reserve(entries);
         for _ in 0..entries {
             let v = self.kv("entry")?;
-            let f = self.fields(v, 2)?;
+            let f = self.fields::<2>(v)?;
             let discipline = self.discipline_of(f[0])?;
             let alarms = self.usize_of(f[1])?;
             if alarms == 0 {
@@ -1571,6 +1704,9 @@ pub(crate) fn restore(
     let now = p.kv_time("at")?;
     let _policy_name = p.kv("policy")?;
     let max_id = p.kv_u64("max_alarm_id")?;
+    if max_id == u64::MAX {
+        return Err(p.err("alarm id watermark leaves no fresh id"));
+    }
     AlarmId::reserve_through(max_id);
 
     // Config.
@@ -1616,7 +1752,7 @@ pub(crate) fn restore(
         if v == "none" {
             None
         } else {
-            let f = p.fields(v, 4)?;
+            let f = p.fields::<4>(v)?;
             Some(OnlineWatchdogConfig {
                 policy: WatchdogPolicy {
                     max_task_hold: p.dur(f[0])?,
@@ -1632,7 +1768,7 @@ pub(crate) fn restore(
         if v == "none" {
             None
         } else {
-            let f = p.fields(v, 6)?;
+            let f = p.fields::<6>(v)?;
             Some(AdmissionConfig {
                 perceptible: ClassQuota {
                     replenish_every: p.dur(f[0])?,
@@ -1652,7 +1788,7 @@ pub(crate) fn restore(
         if v == "none" {
             None
         } else {
-            let f = p.fields(v, 9)?;
+            let f = p.fields::<9>(v)?;
             Some(GovernorConfig {
                 capacity_mj: p.f64_of(f[0])?,
                 check_every: p.dur(f[1])?,
@@ -1677,7 +1813,7 @@ pub(crate) fn restore(
     power.sleep_linger = p.kv_dur("sleep_linger_ms")?;
     for c in HardwareComponent::ALL {
         let v = p.kv("component")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         power.set_component(
             c,
             ComponentPower {
@@ -1725,11 +1861,11 @@ pub(crate) fn restore(
     };
     let meter = {
         let v = p.kv("dev_meter")?;
-        let f = p.fields(v, 3)?;
+        let f = p.fields::<3>(v)?;
         let (sleep_mj, transition_mj, awake_mj) =
             (p.f64_of(f[0])?, p.f64_of(f[1])?, p.f64_of(f[2])?);
         let v = p.kv("dev_meter_components")?;
-        let f = p.fields(v, N_COMPONENTS)?;
+        let f = p.fields::<N_COMPONENTS>(v)?;
         let mut component_mj = [0.0; N_COMPONENTS];
         for (slot, raw) in component_mj.iter_mut().zip(&f) {
             *slot = p.f64_of(raw)?;
@@ -1738,13 +1874,13 @@ pub(crate) fn restore(
     };
     let locks = {
         let v = p.kv("dev_locks_expiry")?;
-        let f = p.fields(v, N_COMPONENTS)?;
+        let f = p.fields::<N_COMPONENTS>(v)?;
         let mut expiry = [None; N_COMPONENTS];
         for (slot, raw) in expiry.iter_mut().zip(&f) {
             *slot = p.opt_time(raw)?;
         }
         let v = p.kv("dev_locks_activations")?;
-        let f = p.fields(v, N_COMPONENTS)?;
+        let f = p.fields::<N_COMPONENTS>(v)?;
         let mut activations = [0u64; N_COMPONENTS];
         for (slot, raw) in activations.iter_mut().zip(&f) {
             *slot = p.u64_of(raw)?;
@@ -1765,14 +1901,14 @@ pub(crate) fn restore(
                 let mut levels = Vec::with_capacity(n);
                 for _ in 0..n {
                     let v = p.kv("lv")?;
-                    let f = p.fields(v, 2)?;
+                    let f = p.fields::<2>(v)?;
                     levels.push((p.time(f[0])?, p.f64_of(f[1])?));
                 }
                 let n = p.count("impulses")?;
                 let mut impulses = Vec::with_capacity(n);
                 for _ in 0..n {
                     let v = p.kv("im")?;
-                    let f = p.fields(v, 2)?;
+                    let f = p.fields::<2>(v)?;
                     impulses.push((p.time(f[0])?, p.f64_of(f[1])?));
                 }
                 Some(PowerTrace::from_parts(levels, impulses))
@@ -1801,7 +1937,7 @@ pub(crate) fn restore(
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("ev")?;
-        let f = p.fields(v, 3)?;
+        let f = p.fields::<3>(v)?;
         events.push(Event {
             time: p.time(f[0])?,
             seq: p.u64_of(f[1])?,
@@ -1814,7 +1950,7 @@ pub(crate) fn restore(
     armed.reserve(n);
     for _ in 0..n {
         let v = p.kv("arm")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         let tag: u8 = f[0]
             .parse()
             .map_err(|_| p.err(format!("invalid armed tag `{}`", f[0])))?;
@@ -1824,13 +1960,14 @@ pub(crate) fn restore(
     // Trace.
     let mut trace = Trace::new();
     let n = p.count("deliveries")?;
+    trace.deliveries.reserve_exact(n);
     for _ in 0..n {
         let v = p.kv("d")?;
-        let f = p.fields(v, 12)?;
+        let f = p.fields::<12>(v)?;
         let repeat_ms = p.u64_of(f[6])?;
         trace.record_delivery(DeliveryRecord {
             alarm_id: AlarmId::from_raw(p.u64_of(f[0])?),
-            label: unesc(f[1]).into(),
+            label: p.label(f[1]),
             nominal: p.time(f[2])?,
             window_end: p.time(f[3])?,
             grace_end: p.time(f[4])?,
@@ -1852,14 +1989,11 @@ pub(crate) fn restore(
         let t = p.kv_time("wk")?;
         trace.record_wakeup(t);
     }
-    let entry_deliveries = p.kv_u64("entry_deliveries")?;
-    for _ in 0..entry_deliveries {
-        trace.record_entry_delivery();
-    }
+    trace.entry_deliveries = p.kv_u64("entry_deliveries")?;
     let n = p.count("interventions")?;
     for _ in 0..n {
         let v = p.kv("iv")?;
-        let f = p.fields(v, 4)?;
+        let f = p.fields::<4>(v)?;
         trace.record_intervention(InterventionRecord {
             at: p.time(f[0])?,
             app: unesc(f[1]),
@@ -1873,9 +2007,9 @@ pub(crate) fn restore(
     let mut active = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("la")?;
-        let f = p.fields(v, 3)?;
+        let f = p.fields::<3>(v)?;
         active.push(ActiveTask {
-            app: unesc(f[0]).into(),
+            app: p.label(f[0]),
             hardware: p.hardware_of(f[1])?,
             until: p.time(f[2])?,
         });
@@ -1884,14 +2018,14 @@ pub(crate) fn restore(
     let mut per_app = BTreeMap::new();
     for _ in 0..n {
         let v = p.kv("lp")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         per_app.insert(unesc(f[0]), p.f64_of(f[1])?);
     }
     let n = p.count("ledger_interventions")?;
     let mut ledger_interventions = BTreeMap::new();
     for _ in 0..n {
         let v = p.kv("li")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         ledger_interventions.insert(unesc(f[0]), p.u64_of(f[1])?);
     }
     let ledger = AttributionLedger {
@@ -1925,7 +2059,7 @@ pub(crate) fn restore(
             let n = p.count("f_crashes")?;
             for _ in 0..n {
                 let v = p.kv("fc")?;
-                let f = p.fields(v, 3)?;
+                let f = p.fields::<3>(v)?;
                 plan.crashes.push(CrashSpec {
                     at: p.time(f[0])?,
                     restart_after: p.dur(f[1])?,
@@ -1935,7 +2069,7 @@ pub(crate) fn restore(
             let n = p.count("f_storms")?;
             for _ in 0..n {
                 let v = p.kv("fs")?;
-                let f = p.fields(v, 3)?;
+                let f = p.fields::<3>(v)?;
                 plan.storms.push(StormSpec {
                     start: p.time(f[0])?,
                     duration: p.dur(f[1])?,
@@ -1952,7 +2086,7 @@ pub(crate) fn restore(
                 if v == "none" {
                     None
                 } else {
-                    let f = p.fields(v, 2)?;
+                    let f = p.fields::<2>(v)?;
                     Some((p.time(f[0])?, p.u32_of(f[1])?))
                 }
             };
@@ -1989,48 +2123,49 @@ pub(crate) fn restore(
     let mut holds = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("h")?;
-        let f = p.fields(v, 4)?;
+        let f = p.fields::<4>(v)?;
         holds.push(TaskHold {
             started: p.time(f[0])?,
             until: p.time(f[1])?,
             hardware: p.hardware_of(f[2])?,
-            app: unesc(f[3]).into(),
+            app: p.label(f[3]),
         });
     }
     let n = p.count("offenses")?;
     let mut offenses = BTreeMap::new();
     for _ in 0..n {
         let v = p.kv("of")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         offenses.insert(unesc(f[1]), p.u32_of(f[0])?);
     }
     let n = p.count("quarantined")?;
     let mut quarantined = BTreeMap::new();
     for _ in 0..n {
         let v = p.kv("qa")?;
-        let f = p.fields(v, 3)?;
+        let f = p.fields::<3>(v)?;
         quarantined.insert(unesc(f[2]), (p.time(f[0])?, p.u32_of(f[1])?));
     }
     let n = p.count("retries")?;
     let mut activation_retries = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("rt")?;
-        let f = p.fields(v, 6)?;
+        let f = p.fields::<6>(v)?;
         activation_retries.push(RetrySlot {
             until: p.time(f[0])?,
             attempt: p.u32_of(f[1])?,
             done: p.bool_of(f[2])?,
             overhead_mj: p.f64_of(f[3])?,
             hardware: p.hardware_of(f[4])?,
-            app: unesc(f[5]).into(),
+            app: p.label(f[5]),
         });
     }
     let n = p.count("stash_apps")?;
     let mut crash_stash = BTreeMap::new();
     for _ in 0..n {
         let v = p.kv("stash")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         let count = p.usize_of(f[0])?;
+        let count = p.bounded(count)?;
         let app = unesc(f[1]);
         let mut alarms = Vec::with_capacity(count);
         for _ in 0..count {
@@ -2052,10 +2187,11 @@ pub(crate) fn restore(
                 .admission
                 .ok_or_else(|| p.err("admission state without admission config"))?;
             let n = p.usize_of(v)?;
+            let n = p.bounded(n)?;
             let mut apps = Vec::with_capacity(n);
             for _ in 0..n {
                 let v = p.kv("aa")?;
-                let f = p.fields(v, 8)?;
+                let f = p.fields::<8>(v)?;
                 apps.push((
                     unesc(f[7]),
                     AppAdmission {
@@ -2086,7 +2222,7 @@ pub(crate) fn restore(
             let cfg = config
                 .degradation
                 .ok_or_else(|| p.err("governor state without degradation config"))?;
-            let f = p.fields(v, 4)?;
+            let f = p.fields::<4>(v)?;
             let tier = match f[0] {
                 "normal" => DegradationTier::Normal,
                 "saver" => DegradationTier::Saver,
@@ -2108,7 +2244,7 @@ pub(crate) fn restore(
     let mut storm = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("sb")?;
-        let f = p.fields(v, 9)?;
+        let f = p.fields::<9>(v)?;
         storm.push(StormBurst {
             start: p.time(f[0])?,
             count: p.u32_of(f[1])?,
@@ -2125,7 +2261,7 @@ pub(crate) fn restore(
     // Overload counters.
     let overload = {
         let v = p.kv("ov")?;
-        let f = p.fields(v, 7)?;
+        let f = p.fields::<7>(v)?;
         OverloadStats {
             storm_registrations: p.u64_of(f[0])?,
             admitted: p.u64_of(f[1])?,
@@ -2154,32 +2290,28 @@ pub(crate) fn restore(
     let mut spans = Vec::with_capacity(n);
     for _ in 0..n {
         let v = p.kv("os")?;
-        let parts: Vec<&str> = v.split(',').collect();
-        if parts.len() < 5 {
-            return Err(p.err(format!("span needs at least 5 fields, got {}", parts.len())));
+        let fields = v.split(',').count();
+        if fields < 5 {
+            return Err(p.err(format!("span needs at least 5 fields, got {fields}")));
         }
-        let nattrs = p.usize_of(parts[4])?;
-        if parts.len() != 5 + 2 * nattrs {
-            return Err(p.err(format!(
-                "span with {nattrs} attrs expects {} fields, got {}",
-                5 + 2 * nattrs,
-                parts.len()
-            )));
+        let mut parts = v.split(',');
+        let [seq, kind, start_ms, end_ms, nattrs]: [&str; 5] =
+            std::array::from_fn(|_| parts.next().unwrap_or_default());
+        let nattrs = p.usize_of(nattrs)?;
+        if nattrs.checked_mul(2).and_then(|f| f.checked_add(5)) != Some(fields) {
+            return Err(p.err(format!("span with {nattrs} attrs has {fields} fields")));
         }
-        let kind = SpanKind::parse(parts[1])
-            .ok_or_else(|| p.err(format!("invalid span kind `{}`", parts[1])))?;
+        let kind =
+            SpanKind::parse(kind).ok_or_else(|| p.err(format!("invalid span kind `{kind}`")))?;
         let mut attrs = Vec::with_capacity(nattrs);
-        for i in 0..nattrs {
-            attrs.push((
-                unesc(parts[5 + 2 * i]).into(),
-                unesc(parts[6 + 2 * i]).into(),
-            ));
+        while let (Some(k), Some(v)) = (parts.next(), parts.next()) {
+            attrs.push((unesc(k).into(), unesc(v).into()));
         }
         spans.push(Span {
-            seq: p.u64_of(parts[0])?,
+            seq: p.u64_of(seq)?,
             kind,
-            start_ms: p.u64_of(parts[2])?,
-            end_ms: p.u64_of(parts[3])?,
+            start_ms: p.u64_of(start_ms)?,
+            end_ms: p.u64_of(end_ms)?,
             attrs,
         });
     }
@@ -2190,16 +2322,13 @@ pub(crate) fn restore(
     let n = p.count("obs_audits")?;
     for _ in 0..n {
         let v = p.kv("oa")?;
-        let f = p.fields(v, 7)?;
+        let f = p.fields::<7>(v)?;
         let candidates = if f[6] == "-" {
             Vec::new()
         } else {
             let mut out = Vec::new();
             for c in f[6].split(';') {
-                let cf: Vec<&str> = c.split('.').collect();
-                if cf.len() != 5 {
-                    return Err(p.err(format!("candidate needs 5 fields, got `{c}`")));
-                }
+                let cf: [&str; 5] = p.split(c, b'.')?;
                 let time = match cf[2] {
                     "h" => TimeSimilarity::High,
                     "m" => TimeSimilarity::Medium,
@@ -2241,7 +2370,7 @@ pub(crate) fn restore(
         obs.audits.push_back(PlacementAudit {
             at: p.time(f[0])?,
             alarm_id: AlarmId::from_raw(p.u64_of(f[1])?),
-            app: unesc(f[5]).into(),
+            app: p.label(f[5]),
             nominal: p.time(f[2])?,
             perceptible: p.bool_of(f[3])?,
             placement,
@@ -2251,7 +2380,7 @@ pub(crate) fn restore(
     let n = p.count("obs_aliases")?;
     for _ in 0..n {
         let v = p.kv("ol")?;
-        let f = p.fields(v, 2)?;
+        let f = p.fields::<2>(v)?;
         obs.aliases.insert(p.u64_of(f[0])?, p.u64_of(f[1])?);
     }
     obs.wake_open = p.kv_opt_time("obs_wake")?;
@@ -2281,6 +2410,7 @@ pub(crate) fn restore(
         storm,
         overload,
         checkpoints: Vec::new(),
+        trace_lines: TraceLines::default(),
         obs,
         stages: StageProfile::new(),
     })
@@ -2289,6 +2419,7 @@ pub(crate) fn restore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{esc, f64_hex};
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -2356,6 +2487,36 @@ mod tests {
             let p = Parser::new("");
             assert_eq!(p.f64_of(&f64_hex(v)).unwrap().to_bits(), v.to_bits());
         }
+    }
+
+    /// A capture that copies cached trace lines is byte-identical to one
+    /// that encodes the whole trace from an empty cache.
+    #[test]
+    fn cached_trace_lines_encode_like_a_cold_capture() {
+        let mut sim = Simulation::new(
+            Box::new(simty_core::policy::SimtyPolicy::new()),
+            SimConfig::new()
+                .with_duration(SimDuration::from_hours(6))
+                .with_checkpoints(SimDuration::from_hours(1)),
+        );
+        for (label, repeat_s) in [("a,b:c%", 300), ("mail", 600), ("chat", 240)] {
+            let alarm = Alarm::builder(label)
+                .nominal(SimTime::from_secs(60))
+                .repeating_dynamic(SimDuration::from_secs(repeat_s))
+                .hardware(HardwareComponent::Wifi.into())
+                .task_duration(SimDuration::from_secs(2))
+                .build()
+                .unwrap();
+            sim.register(alarm).unwrap();
+        }
+        sim.run_until(SimTime::from_secs(3 * 3_600 + 1_800));
+        let cached = sim.trace_lines.deliveries.n;
+        assert!(cached > 0, "scheduled captures filled the cache");
+        assert!(cached < sim.trace.deliveries.len(), "the capture has a tail to encode");
+        let warm = capture(&sim);
+        sim.trace_lines = TraceLines::default();
+        assert_eq!(warm, capture(&sim));
+        assert!(warm.body.contains("a%2Cb%3Ac%25"), "labels stay escaped");
     }
 
     #[test]

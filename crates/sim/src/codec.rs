@@ -11,9 +11,10 @@
 //! [`MetricsRegistry`] codec ([`write_registry`] / [`read_registry`])
 //! that both the checkpoint body and the fleet's shard state use.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 use std::str::FromStr;
 
+use simty_core::time::{SimDuration, SimTime};
 use simty_obs::{Histogram, MetricsRegistry};
 
 /// FNV-1a 64-bit, the body/record checksum.
@@ -31,6 +32,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[must_use]
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    esc_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` percent-escaped, as [`esc`] would render it.
+pub(crate) fn esc_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b'%' | b',' | b':' | b'\n' | b'\r')) {
+        out.push_str(s);
+        return;
+    }
     for ch in s.chars() {
         match ch {
             '%' => out.push_str("%25"),
@@ -41,7 +52,6 @@ pub fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -57,6 +67,15 @@ fn hex_val(b: u8) -> Option<u8> {
 /// set is pure ASCII, so multi-byte characters pass through untouched.
 #[must_use]
 pub fn unesc(s: &str) -> String {
+    unesc_cow(s).into_owned()
+}
+
+/// [`unesc`] that borrows `s` when it holds no escape at all.
+#[must_use]
+pub(crate) fn unesc_cow(s: &str) -> Cow<'_, str> {
+    if !s.contains('%') {
+        return Cow::Borrowed(s);
+    }
     let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len());
     let mut i = 0;
@@ -72,14 +91,41 @@ pub fn unesc(s: &str) -> String {
         out.push(ch);
         i += ch.len_utf8();
     }
-    out
+    Cow::Owned(out)
 }
 
 /// An `f64` as its exact 16-hex-digit bit pattern: round-trips every
 /// value (NaN payloads included) with no formatting loss.
 #[must_use]
 pub fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    let mut out = String::with_capacity(16);
+    push_hex16(&mut out, v.to_bits());
+    out
+}
+
+/// Appends `v` as exactly 16 lower-case hex digits (`{:016x}`).
+pub(crate) fn push_hex16(out: &mut String, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; 16];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = DIGITS[(v >> (60 - 4 * i) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+}
+
+/// Appends `v` in decimal, as `{v}` would render it.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
 }
 
 /// Reverses [`f64_hex`].
@@ -87,6 +133,118 @@ pub fn f64_hex(v: f64) -> String {
 pub fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
+
+/// A value the line format appends in place, with no temporary string:
+/// integers and instants in decimal (milliseconds for times), `f64`s
+/// as their 16-hex-digit bit pattern, flags as `0`/`1`, `None` as
+/// `none`, arrays comma-joined, `&str` verbatim and [`Esc`] text
+/// percent-escaped. The [`kv!`] and [`join!`] macros compose fields
+/// into lines.
+pub(crate) trait Field {
+    /// Appends the value's encoding to `out`.
+    fn put(&self, out: &mut String);
+}
+
+/// Text appended percent-escaped (see [`esc_into`]).
+pub(crate) struct Esc<'a>(pub &'a str);
+
+impl Field for Esc<'_> {
+    fn put(&self, out: &mut String) {
+        esc_into(out, self.0);
+    }
+}
+
+impl Field for str {
+    fn put(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl<T: Field + ?Sized> Field for &T {
+    fn put(&self, out: &mut String) {
+        (**self).put(out);
+    }
+}
+
+macro_rules! decimal_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut String) {
+                push_u64(out, *self as u64);
+            }
+        }
+    )*};
+}
+decimal_fields!(u8, u16, u32, u64, usize);
+
+impl Field for bool {
+    fn put(&self, out: &mut String) {
+        out.push(if *self { '1' } else { '0' });
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, out: &mut String) {
+        push_hex16(out, self.to_bits());
+    }
+}
+
+impl Field for SimTime {
+    fn put(&self, out: &mut String) {
+        push_u64(out, self.as_millis());
+    }
+}
+
+impl Field for SimDuration {
+    fn put(&self, out: &mut String) {
+        push_u64(out, self.as_millis());
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut String) {
+        match self {
+            Some(v) => v.put(out),
+            None => out.push_str("none"),
+        }
+    }
+}
+
+impl<T: Field, const N: usize> Field for [T; N] {
+    fn put(&self, out: &mut String) {
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.put(out);
+        }
+    }
+}
+
+/// Appends [`Field`]s to a `&mut String`, separated by the `sep` char.
+macro_rules! join {
+    ($out:expr, $sep:literal, $first:expr $(, $rest:expr)* $(,)?) => {{
+        let out: &mut String = $out;
+        $crate::codec::Field::put(&$first, out);
+        $(
+            out.push($sep);
+            $crate::codec::Field::put(&$rest, out);
+        )*
+    }};
+}
+
+/// Appends one `key=field,field,…` line of [`Field`]s.
+macro_rules! kv {
+    ($out:expr, $key:expr, $($field:expr),+ $(,)?) => {{
+        let out: &mut String = $out;
+        out.push_str($key);
+        out.push('=');
+        $crate::codec::join!(out, ',', $($field),+);
+        out.push('\n');
+    }};
+}
+
+pub(crate) use {join, kv};
 
 /// A cursor over a body of `key=value` lines that counts the lines it
 /// consumed, so readers can report where a body went wrong.
@@ -156,24 +314,29 @@ impl<'a> KvLines<'a> {
 /// [`read_registry`] reproduces every series bit for bit. Help text is
 /// not encoded: it belongs to whoever registers the families.
 pub fn write_registry(out: &mut String, m: &MetricsRegistry) {
-    let _ = writeln!(out, "obs_counters={}", m.counters().count());
+    kv!(out, "obs_counters", m.counters().count());
     for (name, value) in m.counters() {
-        let _ = writeln!(out, "oc={value},{}", esc(name));
+        kv!(out, "oc", value, Esc(name));
     }
-    let _ = writeln!(out, "obs_gauges={}", m.gauges().count());
+    kv!(out, "obs_gauges", m.gauges().count());
     for (name, value) in m.gauges() {
-        let _ = writeln!(out, "og={},{}", f64_hex(value), esc(name));
+        kv!(out, "og", value, Esc(name));
     }
-    let _ = writeln!(out, "obs_hists={}", m.histograms().count());
+    kv!(out, "obs_hists", m.histograms().count());
     for (name, h) in m.histograms() {
-        let _ = write!(out, "oh={},{}", esc(name), h.bounds().len());
+        out.push_str("oh=");
+        join!(out, ',', Esc(name), h.bounds().len());
         for b in h.bounds() {
-            let _ = write!(out, ",{}", f64_hex(*b));
+            out.push(',');
+            b.put(out);
         }
         for c in h.counts() {
-            let _ = write!(out, ",{c}");
+            out.push(',');
+            c.put(out);
         }
-        let _ = writeln!(out, ",{},{},{}", f64_hex(h.sum()), h.count(), h.nonfinite());
+        out.push(',');
+        join!(out, ',', h.sum(), h.count(), h.nonfinite());
+        out.push('\n');
     }
 }
 

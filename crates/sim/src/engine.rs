@@ -33,7 +33,7 @@ use simty_device::device::Device;
 use simty_obs::{MetricsRegistry, SpanKind, Stage, StageProfile};
 
 use crate::attribution::AttributionLedger;
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError, TraceLines};
 use crate::config::{InvariantMode, SimConfig};
 use crate::degrade::{DegradationGovernor, DegradationTier};
 use crate::error::SimError;
@@ -165,6 +165,9 @@ pub struct Simulation {
     pub(crate) overload: OverloadStats,
     /// In-memory checkpoints captured by [`EventKind::Checkpoint`].
     pub(crate) checkpoints: Vec<Checkpoint>,
+    /// The trace's checkpoint lines, extended at every scheduled
+    /// capture so no capture re-encodes the whole trace.
+    pub(crate) trace_lines: TraceLines,
     /// Spans, metrics, and placement audits — all driven by the sim
     /// clock, so every export is deterministic (and checkpointed).
     pub(crate) obs: ObsLayer,
@@ -218,6 +221,7 @@ impl Simulation {
             storm: Vec::new(),
             overload: OverloadStats::default(),
             checkpoints: Vec::new(),
+            trace_lines: TraceLines::default(),
             obs,
             stages: StageProfile::new(),
         };
@@ -512,7 +516,8 @@ impl Simulation {
     }
 
     /// Captures a crash-consistent checkpoint of the current state on
-    /// demand (the periodic capture calls this too).
+    /// demand. It reuses the trace lines the scheduled captures already
+    /// encoded and encodes only the records past them.
     pub fn checkpoint(&self) -> Checkpoint {
         crate::checkpoint::capture(self)
     }
@@ -894,21 +899,21 @@ impl Simulation {
                 if self.obs.on() {
                     self.obs.metrics.inc("sim_checkpoints_total");
                 }
-                if self.obs.spans_on() {
+                let t0 = self.obs.spans_on().then(|| {
                     self.obs.spans.record(
                         SpanKind::CheckpointWrite,
                         t.as_millis(),
                         t.as_millis(),
                         Vec::new(),
                     );
-                    let t0 = Instant::now();
-                    let snapshot = crate::checkpoint::capture(self);
+                    Instant::now()
+                });
+                self.trace_lines.extend(&self.trace);
+                let snapshot = crate::checkpoint::capture(self);
+                if let Some(t0) = t0 {
                     self.stages.add(Stage::CheckpointIo, t0.elapsed());
-                    self.checkpoints.push(snapshot);
-                } else {
-                    let snapshot = crate::checkpoint::capture(self);
-                    self.checkpoints.push(snapshot);
                 }
+                self.checkpoints.push(snapshot);
             }
             EventKind::GovernorTick => {
                 self.governor_tick(t);

@@ -13,6 +13,8 @@ use simty_core::alarm::{Alarm, AlarmId, AlarmKind};
 use simty_core::hardware::HardwareSet;
 use simty_core::time::{SimDuration, SimTime};
 
+use crate::codec::join;
+
 /// One alarm delivery, with everything needed to score it afterwards.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryRecord {
@@ -388,32 +390,37 @@ impl Trace {
             w,
             "alarm_id,label,nominal_ms,window_end_ms,grace_end_ms,delivered_ms,repeat_ms,hardware,perceptible,entry_size,task_ms"
         )?;
+        // Each row is built in one reused buffer: no per-field
+        // formatting machinery and no temporary strings.
+        let mut row = String::with_capacity(128);
         for d in &self.deliveries {
-            // The hardware field is '+'-joined so it stays comma-free.
-            let hardware = if d.hardware.is_empty() {
-                "none".to_owned()
-            } else {
-                d.hardware
-                    .iter()
-                    .map(|c| c.name())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            };
-            writeln!(
-                w,
-                "{},{},{},{},{},{},{},{},{},{},{}",
-                d.alarm_id.as_u64(),
-                d.label,
-                d.nominal.as_millis(),
-                d.window_end.as_millis(),
-                d.grace_end.as_millis(),
-                d.delivered_at.as_millis(),
+            row.clear();
+            join!(
+                &mut row,
+                ',',
+                d.alarm_id,
+                &*d.label,
+                d.nominal,
+                d.window_end,
+                d.grace_end,
+                d.delivered_at,
                 d.repeat_interval.map_or(0, SimDuration::as_millis),
-                hardware,
-                d.perceptible,
-                d.entry_size,
-                d.task_duration.as_millis()
-            )?;
+            );
+            // The hardware field is '+'-joined so it stays comma-free.
+            row.push(',');
+            if d.hardware.is_empty() {
+                row.push_str("none");
+            }
+            for (i, c) in d.hardware.iter().enumerate() {
+                if i > 0 {
+                    row.push('+');
+                }
+                row.push_str(c.name());
+            }
+            row.push_str(if d.perceptible { ",true," } else { ",false," });
+            join!(&mut row, ',', d.entry_size, d.task_duration);
+            row.push('\n');
+            w.write_all(row.as_bytes())?;
         }
         Ok(())
     }
