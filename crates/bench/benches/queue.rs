@@ -1,16 +1,22 @@
-//! Criterion micro-benchmarks of the two hot paths every registration
-//! exercises: `AlarmQueue::insert_entry` (binary-search insert into the
-//! delivery-ordered queue) and the SIMTY search/selection scan
-//! (`SimtyPolicy::place`), at queue depths 10 / 100 / 1 000 / 10 000.
+//! Criterion micro-benchmarks of the hot paths every registration and
+//! re-arm exercises: `AlarmQueue::insert_entry` (binary-search insert
+//! into the delivery-ordered queue), `AlarmQueue::add_to_entry` (a join
+//! repositioning its entry), the SIMTY search/selection scan
+//! (`SimtyPolicy::place`) and a whole re-arm
+//! (`AlarmManager::complete_delivery`), at queue depths 10 / 100 /
+//! 1 000 / 10 000.
 //!
 //! `insert_entry` should scale sublinearly in the queue depth (the
 //! `partition_point` search is O(log n); the `Vec` shift dominates only
-//! at the deepest sizes), and `place` should stay flat for candidates
-//! whose window closes early thanks to the delivery-time early-exit.
+//! at the deepest sizes), `add_to_entry` should stay near-flat when the
+//! join leaves the entry in place, and `place` should stay flat for
+//! candidates whose window closes early thanks to the delivery-time
+//! early-exit.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use simty::core::entry::{DeliveryDiscipline, QueueEntry};
+use simty::core::manager::AlarmManager;
 use simty::core::queue::AlarmQueue;
 use simty::prelude::*;
 use simty::sim::event::{oracle::HeapEventQueue, EventKind, EventQueue};
@@ -98,6 +104,75 @@ fn bench_insert_entry(c: &mut Criterion) {
                 );
             });
         }
+    }
+    group.finish();
+}
+
+/// A join into the entry at the given fraction of the queue that moves
+/// its delivery time 5 s later, still short of the next entry, so the
+/// entry keeps its index: the cost is the in-place push, one binary
+/// search and an empty rotation, near-flat in depth. (The replaced
+/// remove-and-reinsert shifted the whole tail twice.)
+fn bench_add_to_entry(c: &mut Criterion) {
+    let mut group = c.benchmark_group("queue_reposition");
+    group.sample_size(10);
+    for n in DEPTHS {
+        let queue = preloaded_queue(n);
+        for (position, fraction) in [("head", 0.0), ("mid", 0.5)] {
+            let index = ((n as f64) * fraction) as usize;
+            let join = candidate_at(n, fraction);
+            group.bench_with_input(BenchmarkId::new(position, n), &n, |b, _| {
+                b.iter_batched(
+                    || (queue.clone(), join.clone()),
+                    |(mut queue, join)| {
+                        queue.add_to_entry(index, join);
+                        queue // dropping the deep queue stays off the clock
+                    },
+                    BatchSize::SmallInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
+/// One SIMTY re-arm: a delivered repeating alarm goes back into a
+/// preloaded queue through `complete_delivery` (advance its nominal
+/// time, validate, search, place), landing mid-queue. The cancel that
+/// restores the queue for the next iteration stays off the clock.
+fn bench_manager_rearm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("manager_rearm");
+    group.sample_size(10);
+    for n in DEPTHS {
+        let mut manager = AlarmManager::new(Box::new(SimtyPolicy::new()));
+        for i in 0..n {
+            manager.register(bg_alarm(i)).expect("valid alarm");
+        }
+        let delivered_at = SimTime::from_secs(10);
+        // One period later the alarm lands 5 s into the middle entry.
+        let period = SimDuration::from_secs(60 + (n as u64 / 2) * 30 + 5 - 10);
+        let mut delivered = Alarm::builder("rearm")
+            .nominal(delivered_at)
+            .repeating_static(period)
+            .window(SimDuration::from_secs(20))
+            .grace(SimDuration::from_secs(40))
+            .hardware(HardwareComponent::Wifi.into())
+            .build()
+            .expect("valid alarm");
+        delivered.mark_hardware_known();
+        group.bench_with_input(BenchmarkId::new("simty", n), &n, |b, _| {
+            b.iter_custom(|iters| {
+                let mut total = std::time::Duration::ZERO;
+                for _ in 0..iters {
+                    let alarm = delivered.clone();
+                    let start = std::time::Instant::now();
+                    let id = manager.complete_delivery(alarm, delivered_at);
+                    total += start.elapsed();
+                    manager.cancel(id.expect("a repeating alarm is re-armed"));
+                }
+                total
+            });
+        });
     }
     group.finish();
 }
@@ -220,7 +295,9 @@ fn bench_event_queues(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_insert_entry,
+    bench_add_to_entry,
     bench_simty_place,
+    bench_manager_rearm,
     bench_event_queues
 );
 criterion_main!(benches);

@@ -433,6 +433,12 @@ impl AlarmManager {
     /// its next nominal delivery time. Returns the id if it was
     /// reinserted, `None` for one-shot alarms.
     ///
+    /// The alarm must have been popped from its queue, so there is no
+    /// stale copy to remove (or, under NATIVE, to realign with): the
+    /// re-armed alarm is validated and placed directly, exactly as
+    /// [`register`](Self::register) places an alarm it finds unqueued,
+    /// without scanning the queue for it.
+    ///
     /// # Panics
     ///
     /// Panics if the computed next nominal time is in the past, which the
@@ -440,14 +446,19 @@ impl AlarmManager {
     pub fn complete_delivery(&mut self, mut alarm: Alarm, delivered_at: SimTime) -> Option<AlarmId> {
         self.advance_clock(delivered_at);
         alarm.mark_hardware_known();
-        if alarm.advance_after_delivery(delivered_at) {
-            let id = self
-                .register(alarm)
-                .expect("next nominal delivery time must be in the future");
-            Some(id)
-        } else {
-            None
+        if !alarm.advance_after_delivery(delivered_at) {
+            return None;
         }
+        self.validate(&alarm)
+            .expect("next nominal delivery time must be in the future");
+        debug_assert!(
+            !self.queue(alarm.kind()).contains_alarm(alarm.id()),
+            "a delivered alarm is re-armed while still queued"
+        );
+        alarm.set_grace_stretch(self.grace_stretch);
+        let id = alarm.id();
+        self.place(alarm);
+        Some(id)
     }
 
     fn queue(&self, kind: AlarmKind) -> &AlarmQueue {
@@ -762,6 +773,99 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(shape(&plain), shape(&subject));
+        }
+    }
+
+    /// `complete_delivery` places the re-armed alarm directly; the queue
+    /// it leaves must match the `register` path it replaced (which first
+    /// looked for a stale copy) under every built-in policy, NATIVE's
+    /// realign-on-reinsert included.
+    #[test]
+    fn complete_delivery_matches_the_register_path() {
+        use crate::policy::{DozePolicy, DurationSimilarityPolicy, FixedIntervalPolicy};
+        let policies: [fn() -> Box<dyn AlignmentPolicy>; 6] = [
+            || Box::new(NativePolicy::new()),
+            || Box::new(SimtyPolicy::new()),
+            || Box::new(ExactPolicy::new()),
+            || Box::new(DurationSimilarityPolicy::new()),
+            || Box::new(FixedIntervalPolicy::new(SimDuration::from_secs(300))),
+            || {
+                Box::new(DozePolicy::new(
+                    SimDuration::from_secs(120),
+                    SimDuration::from_secs(1_800),
+                    2,
+                ))
+            },
+        ];
+        let alarms: Vec<Alarm> = (0..24u64)
+            .map(|i| {
+                let builder = Alarm::builder(format!("app{}", i % 7))
+                    .nominal(SimTime::from_secs(60 + 37 * i))
+                    .window_fraction([0.0, 0.25, 0.75][(i % 3) as usize])
+                    .grace_fraction(0.9)
+                    .hardware(if i % 2 == 0 {
+                        HardwareComponent::Wifi.into()
+                    } else {
+                        HardwareComponent::Wps.into()
+                    })
+                    .kind(if i % 5 == 4 { AlarmKind::NonWakeup } else { AlarmKind::Wakeup });
+                let repeat = SimDuration::from_secs(300 + 90 * (i % 4));
+                if i % 2 == 0 {
+                    builder.repeating_static(repeat)
+                } else {
+                    builder.repeating_dynamic(repeat)
+                }
+                .build()
+                .unwrap()
+            })
+            .collect();
+        let shape = |m: &AlarmManager| {
+            [m.wakeup_queue(), m.non_wakeup_queue()].map(|q| {
+                q.iter()
+                    .map(|e| {
+                        let alarms: Vec<(AlarmId, u32)> =
+                            e.alarms().iter().map(|a| (a.id(), a.grace_stretch())).collect();
+                        (e.delivery_time(), alarms)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        for policy in policies {
+            let mut direct = AlarmManager::new(policy());
+            let mut registered = AlarmManager::new(policy());
+            for m in [&mut direct, &mut registered] {
+                m.set_grace_stretch(1_500);
+                for a in &alarms {
+                    m.register(a.clone()).unwrap();
+                }
+            }
+            for round in 0..60 {
+                let t = direct.next_wakeup_time().unwrap();
+                assert_eq!(registered.next_wakeup_time(), Some(t));
+                let mut due = direct.pop_due_wakeup(t);
+                due.extend(direct.pop_due_non_wakeup(t));
+                let mut due_too = registered.pop_due_wakeup(t);
+                due_too.extend(registered.pop_due_non_wakeup(t));
+                if round == 30 {
+                    // A stretch change while alarms are in flight: the
+                    // re-arm must stamp the new stretch.
+                    direct.set_grace_stretch(2_000);
+                    registered.set_grace_stretch(2_000);
+                }
+                for (entry, twin) in due.into_iter().zip(due_too) {
+                    for (alarm, mut old) in entry.into_alarms().into_iter().zip(twin.into_alarms()) {
+                        direct.complete_delivery(alarm, t);
+                        // The pre-change re-arm: register's stale-copy
+                        // search, which always misses for a popped alarm.
+                        registered.advance_clock(t);
+                        old.mark_hardware_known();
+                        if old.advance_after_delivery(t) {
+                            registered.register(old).unwrap();
+                        }
+                    }
+                }
+                assert_eq!(shape(&direct), shape(&registered), "{}", direct.policy_name());
+            }
         }
     }
 

@@ -105,13 +105,27 @@ impl AlarmQueue {
     /// Adds `alarm` to the entry at `index`, repositioning the entry since
     /// its delivery time may have moved.
     ///
+    /// The entry lands exactly where removing it and calling
+    /// [`insert_entry`](Self::insert_entry) would put it: after every
+    /// other entry with the same delivery time. A join can only move an
+    /// entry later (every discipline derives the delivery time from the
+    /// members' latest nominal time, which a join cannot lower), so the
+    /// entry is updated in place and only the entries it passes shift
+    /// down by one: one binary search over the tail and one rotation,
+    /// instead of a remove and an insert that each shift the whole tail.
+    ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
     pub fn add_to_entry(&mut self, index: usize, alarm: Alarm) {
-        let mut entry = self.entries.remove(index);
-        entry.push(alarm);
-        self.insert_entry(entry);
+        self.entries[index].push(alarm);
+        let t = self.entries[index].delivery_time();
+        debug_assert!(
+            index == 0 || self.entries[index - 1].delivery_time() <= t,
+            "a join moved its entry earlier"
+        );
+        let passed = self.entries[index + 1..].partition_point(|e| e.delivery_time() <= t);
+        self.entries[index..=index + passed].rotate_left(1);
     }
 
     /// Removes the alarm with `id` from whichever entry holds it; drops
@@ -264,5 +278,65 @@ mod tests {
         assert_eq!(q.alarm_count(), 2);
         assert_eq!(q.position_of(id), Some(0));
         assert_eq!((&q).into_iter().count(), 2);
+    }
+
+    use proptest::prelude::*;
+
+    /// An alarm on a coarse grid of nominal times (so many entries tie on
+    /// delivery time) with one of three window fractions.
+    fn grid_alarm(label: &str, slot: u64, alpha_pick: u64) -> Alarm {
+        Alarm::builder(label)
+            .nominal(SimTime::from_secs(100 * (1 + slot)))
+            .repeating_static(SimDuration::from_secs(600))
+            .window_fraction([0.0, 0.25, 0.75][alpha_pick as usize])
+            .grace_fraction(0.9)
+            .build()
+            .unwrap()
+    }
+
+    fn entry_order(q: &AlarmQueue) -> Vec<Vec<AlarmId>> {
+        q.iter()
+            .map(|e| e.alarms().iter().map(Alarm::id).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// In-place repositioning gives exactly the entry order of the
+        /// remove + `insert_entry` it replaces, under every discipline.
+        #[test]
+        fn add_to_entry_matches_remove_then_insert(
+            seeds in prop::collection::vec((0u64..5, 0u64..3), 1..40),
+            joins in prop::collection::vec((0u64..1000, 0u64..6, 0u64..3), 1..12),
+            discipline_pick in 0u64..4,
+        ) {
+            let discipline = [
+                DeliveryDiscipline::Window,
+                DeliveryDiscipline::PerceptibilityAware,
+                DeliveryDiscipline::Quantized { quantum: SimDuration::from_secs(250) },
+                DeliveryDiscipline::Escalating {
+                    base: SimDuration::from_secs(120),
+                    max_quantum: SimDuration::from_secs(960),
+                    windows_per_level: 2,
+                },
+            ][discipline_pick as usize];
+            let mut q = AlarmQueue::new();
+            for (i, &(slot, alpha)) in seeds.iter().enumerate() {
+                q.insert_new_entry(grid_alarm(&format!("s{i}"), slot, alpha), discipline);
+            }
+            let mut reference = q.clone();
+            for (i, &(pick, slot, alpha)) in joins.iter().enumerate() {
+                let index = pick as usize % q.len();
+                let alarm = grid_alarm(&format!("j{i}"), slot, alpha);
+                let mut entry = reference.take_entry(index);
+                entry.push(alarm.clone());
+                reference.insert_entry(entry);
+                q.add_to_entry(index, alarm);
+                prop_assert_eq!(entry_order(&q), entry_order(&reference));
+            }
+            let times: Vec<SimTime> = q.iter().map(QueueEntry::delivery_time).collect();
+            prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        }
     }
 }

@@ -20,6 +20,25 @@
 //!
 //! The conservation invariant — attributed + overhead = the meter's
 //! awake-related energy — is enforced by the integration tests.
+//!
+//! # Cost model
+//!
+//! Each app label is interned into a dense slot on its first
+//! [`start_task`](AttributionLedger::start_task); active tasks carry
+//! their slot, and energy accrues into a `Vec<f64>` indexed by it. The
+//! per-segment work of [`advance_to`](AttributionLedger::advance_to) is
+//! therefore O(active tasks × held components), whatever the number of
+//! apps the device has seen; a task start costs one binary search over
+//! the interned names.
+//!
+//! # Bit identity
+//!
+//! Floating-point addition is not associative, so the ledger pins the
+//! order of every sum: each app receives its additions in the order the
+//! engine issues them (its task charge, then per segment the base-power
+//! share and one share per held component, tasks in start order), and
+//! every total over apps (the attributed sum, the ranking, the
+//! checkpoint's `lp=` lines) reads the apps in name order.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,7 +51,8 @@ use simty_device::power::PowerModel;
 /// A task currently holding the device awake.
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveTask {
-    pub(crate) app: Arc<str>,
+    /// The app's slot in the ledger's interned tables.
+    pub(crate) slot: usize,
     pub(crate) hardware: HardwareSet,
     pub(crate) until: SimTime,
 }
@@ -46,7 +66,12 @@ pub(crate) struct ActiveTask {
 pub struct AttributionLedger {
     pub(crate) model: PowerModel,
     pub(crate) active: Vec<ActiveTask>,
-    pub(crate) per_app: BTreeMap<String, f64>,
+    /// Interned app labels, indexed by slot (first-seen order).
+    pub(crate) apps: Vec<Arc<str>>,
+    /// Energy attributed to each slot so far.
+    mj: Vec<f64>,
+    /// The slots in app-name order.
+    by_name: Vec<usize>,
     pub(crate) interventions: BTreeMap<String, u64>,
     pub(crate) overhead_mj: f64,
     pub(crate) pending_transition_mj: f64,
@@ -60,7 +85,9 @@ impl AttributionLedger {
         AttributionLedger {
             model,
             active: Vec::new(),
-            per_app: BTreeMap::new(),
+            apps: Vec::new(),
+            mj: Vec::new(),
+            by_name: Vec::new(),
             interventions: BTreeMap::new(),
             overhead_mj: 0.0,
             pending_transition_mj: 0.0,
@@ -119,17 +146,26 @@ impl AttributionLedger {
                 self.pending_transition_mj = 0.0;
             }
         }
-        bump(&mut self.per_app, app, charge);
+        // A new app's slot starts at +0.0, and `0.0 + charge` is `charge`
+        // bit for bit (a charge is never -0.0).
+        let slot = self.intern(app);
+        self.mj[slot] += charge;
         self.active.push(ActiveTask {
-            app: Arc::clone(app),
+            slot,
             hardware,
             until,
         });
     }
 
-    /// Energy attributed to each app so far, in mJ, sorted by app name.
-    pub fn per_app_mj(&self) -> &BTreeMap<String, f64> {
-        &self.per_app
+    /// Energy attributed to each app so far, in mJ, keyed by app name
+    /// (a fresh map per call; the ledger itself indexes apps by slot).
+    pub fn per_app_mj(&self) -> BTreeMap<&str, f64> {
+        self.per_app().collect()
+    }
+
+    /// Each app and its attributed energy, in app-name order.
+    pub(crate) fn per_app(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
+        self.by_name.iter().map(|&s| (&*self.apps[s], self.mj[s]))
     }
 
     /// Awake energy not attributable to any app: wake latency and sleep
@@ -140,7 +176,7 @@ impl AttributionLedger {
 
     /// Total attributed energy (excluding overhead), in mJ.
     pub fn attributed_mj(&self) -> f64 {
-        self.per_app.values().sum()
+        self.per_app().map(|(_, mj)| mj).sum()
     }
 
     /// Drops every active task immediately (mirrors the device's forced
@@ -156,7 +192,10 @@ impl AttributionLedger {
     /// `now` on. Also counts one watchdog intervention against the app.
     pub fn drop_app_tasks(&mut self, app: &str, now: SimTime) {
         self.advance_to(now, self.awake);
-        self.active.retain(|t| *t.app != *app);
+        if let Ok(pos) = self.find(app) {
+            let slot = self.by_name[pos];
+            self.active.retain(|t| t.slot != slot);
+        }
         *self.interventions.entry(app.to_owned()).or_insert(0) += 1;
     }
 
@@ -168,20 +207,54 @@ impl AttributionLedger {
     /// Apps ranked by attributed energy, highest first.
     pub fn ranking(&self) -> Vec<(String, f64)> {
         let mut v: Vec<(String, f64)> = self
-            .per_app
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .per_app()
+            .map(|(k, v)| (k.to_owned(), v))
             .collect();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("energies are finite"));
         v
+    }
+
+    /// Sets `app`'s attributed energy (checkpoint restore).
+    pub(crate) fn restore_app(&mut self, app: &Arc<str>, mj: f64) {
+        let slot = self.intern(app);
+        self.mj[slot] = mj;
+    }
+
+    /// Re-adds an active task (checkpoint restore), interning its app if
+    /// the checkpoint attributed it nothing yet.
+    pub(crate) fn restore_task(&mut self, app: &Arc<str>, hardware: HardwareSet, until: SimTime) {
+        let slot = self.intern(app);
+        self.active.push(ActiveTask {
+            slot,
+            hardware,
+            until,
+        });
+    }
+
+    /// Where `app` sits in (or would go into) the name-ordered slots.
+    fn find(&self, app: &str) -> Result<usize, usize> {
+        self.by_name.binary_search_by(|&s| (*self.apps[s]).cmp(app))
+    }
+
+    /// `app`'s slot, allocating one at +0.0 mJ on first sight.
+    fn intern(&mut self, app: &Arc<str>) -> usize {
+        match self.find(app) {
+            Ok(pos) => self.by_name[pos],
+            Err(pos) => {
+                let slot = self.apps.len();
+                self.apps.push(Arc::clone(app));
+                self.mj.push(0.0);
+                self.by_name.insert(pos, slot);
+                slot
+            }
+        }
     }
 
     fn accrue_awake_segment(&mut self, dt: SimDuration) {
         let secs = dt.as_secs_f64();
         // This runs once per event-loop batch, so it must not allocate:
         // tasks are scanned by index (two passes: count, then charge)
-        // and apps are charged through `bump`, which only allocates the
-        // first time an app appears in the ledger.
+        // and charged through their slot.
         let last = self.last;
         let running = |t: &ActiveTask| t.until > last;
         let n_running = self.active.iter().filter(|t| running(t)).count();
@@ -191,10 +264,9 @@ impl AttributionLedger {
             self.overhead_mj += base;
         } else {
             let share = base / n_running as f64;
-            for i in 0..self.active.len() {
-                if running(&self.active[i]) {
-                    let app = Arc::clone(&self.active[i].app);
-                    bump(&mut self.per_app, &app, share);
+            for t in &self.active {
+                if running(t) {
+                    self.mj[t.slot] += share;
                 }
             }
         }
@@ -207,23 +279,12 @@ impl AttributionLedger {
             }
             let energy = self.model.component(c).active_power_mw * secs;
             let share = energy / n_holders as f64;
-            for i in 0..self.active.len() {
-                if holds(&self.active[i]) {
-                    let app = Arc::clone(&self.active[i].app);
-                    bump(&mut self.per_app, &app, share);
+            for t in &self.active {
+                if holds(t) {
+                    self.mj[t.slot] += share;
                 }
             }
         }
-    }
-}
-
-/// Adds `amt` to `app`'s total, copying the key only on first sight —
-/// the steady-state charge path performs no allocation.
-fn bump(per_app: &mut BTreeMap<String, f64>, app: &str, amt: f64) {
-    if let Some(v) = per_app.get_mut(app) {
-        *v += amt;
-    } else {
-        per_app.insert(app.to_owned(), amt);
     }
 }
 
@@ -234,6 +295,159 @@ impl fmt::Display for AttributionLedger {
             writeln!(f, "  {app:<20} {mj:>12.1}")?;
         }
         write!(f, "  {:<20} {:>12.1}", "(overhead)", self.overhead_mj())
+    }
+}
+
+/// The name-keyed ledger the slot-indexed one replaced, retained
+/// verbatim as the differential-testing reference: it charges apps
+/// through a `BTreeMap<String, f64>` lookup per running task and held
+/// component, and its per-app sums define the bits the slot ledger must
+/// reproduce.
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    use simty_core::hardware::HardwareSet;
+    use simty_core::time::{SimDuration, SimTime};
+    use simty_device::power::PowerModel;
+
+    struct ActiveTask {
+        app: Arc<str>,
+        hardware: HardwareSet,
+        until: SimTime,
+    }
+
+    /// The reference ledger (the subset of the API the tests drive).
+    pub(crate) struct NameKeyedLedger {
+        model: PowerModel,
+        active: Vec<ActiveTask>,
+        pub(crate) per_app: BTreeMap<String, f64>,
+        pub(crate) interventions: BTreeMap<String, u64>,
+        overhead_mj: f64,
+        pending_transition_mj: f64,
+        last: SimTime,
+        awake: bool,
+    }
+
+    impl NameKeyedLedger {
+        pub(crate) fn new(model: PowerModel) -> Self {
+            NameKeyedLedger {
+                model,
+                active: Vec::new(),
+                per_app: BTreeMap::new(),
+                interventions: BTreeMap::new(),
+                overhead_mj: 0.0,
+                pending_transition_mj: 0.0,
+                last: SimTime::ZERO,
+                awake: false,
+            }
+        }
+
+        pub(crate) fn advance_to(&mut self, now: SimTime, awake_after: bool) {
+            let dt = now.saturating_since(self.last);
+            if !dt.is_zero() && self.awake {
+                self.accrue_awake_segment(dt);
+            }
+            self.active.retain(|t| t.until > now);
+            self.last = self.last.max(now);
+            self.awake = awake_after;
+        }
+
+        pub(crate) fn note_wake_transition(&mut self) {
+            self.overhead_mj += self.pending_transition_mj;
+            self.pending_transition_mj = self.model.wake_transition_energy_mj;
+        }
+
+        pub(crate) fn start_task(
+            &mut self,
+            app: &Arc<str>,
+            hardware: HardwareSet,
+            until: SimTime,
+            newly_activated: HardwareSet,
+            batch_size: usize,
+        ) {
+            let mut charge = 0.0;
+            for c in newly_activated {
+                charge += self.model.component(c).activation_energy_mj;
+            }
+            if self.pending_transition_mj > 0.0 && batch_size > 0 {
+                let share = self.model.wake_transition_energy_mj / batch_size as f64;
+                let claimed = share.min(self.pending_transition_mj);
+                charge += claimed;
+                self.pending_transition_mj -= claimed;
+                if self.pending_transition_mj < 1e-9 {
+                    self.pending_transition_mj = 0.0;
+                }
+            }
+            bump(&mut self.per_app, app, charge);
+            self.active.push(ActiveTask {
+                app: Arc::clone(app),
+                hardware,
+                until,
+            });
+        }
+
+        pub(crate) fn overhead_mj(&self) -> f64 {
+            self.overhead_mj + self.pending_transition_mj
+        }
+
+        pub(crate) fn attributed_mj(&self) -> f64 {
+            self.per_app.values().sum()
+        }
+
+        pub(crate) fn drop_all_tasks(&mut self, now: SimTime) {
+            self.advance_to(now, self.awake);
+            self.active.clear();
+        }
+
+        pub(crate) fn drop_app_tasks(&mut self, app: &str, now: SimTime) {
+            self.advance_to(now, self.awake);
+            self.active.retain(|t| *t.app != *app);
+            *self.interventions.entry(app.to_owned()).or_insert(0) += 1;
+        }
+
+        fn accrue_awake_segment(&mut self, dt: SimDuration) {
+            let secs = dt.as_secs_f64();
+            let last = self.last;
+            let running = |t: &ActiveTask| t.until > last;
+            let n_running = self.active.iter().filter(|t| running(t)).count();
+            let base = self.model.awake_base_power_mw * secs;
+            if n_running == 0 {
+                self.overhead_mj += base;
+            } else {
+                let share = base / n_running as f64;
+                for i in 0..self.active.len() {
+                    if running(&self.active[i]) {
+                        let app = Arc::clone(&self.active[i].app);
+                        bump(&mut self.per_app, &app, share);
+                    }
+                }
+            }
+            for c in simty_core::hardware::HardwareComponent::ALL {
+                let holds = |t: &ActiveTask| running(t) && t.hardware.contains(c);
+                let n_holders = self.active.iter().filter(|t| holds(t)).count();
+                if n_holders == 0 {
+                    continue;
+                }
+                let energy = self.model.component(c).active_power_mw * secs;
+                let share = energy / n_holders as f64;
+                for i in 0..self.active.len() {
+                    if holds(&self.active[i]) {
+                        let app = Arc::clone(&self.active[i].app);
+                        bump(&mut self.per_app, &app, share);
+                    }
+                }
+            }
+        }
+    }
+
+    fn bump(per_app: &mut BTreeMap<String, f64>, app: &str, amt: f64) {
+        if let Some(v) = per_app.get_mut(app) {
+            *v += amt;
+        } else {
+            per_app.insert(app.to_owned(), amt);
+        }
     }
 }
 
@@ -361,5 +575,111 @@ mod tests {
         assert_eq!(ranking[0].0, "big");
         assert!(ranking[0].1 > ranking[1].1);
         assert!(l.to_string().contains("overhead"));
+    }
+
+    use proptest::prelude::*;
+
+    use super::reference::NameKeyedLedger;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Start {
+            app: u8,
+            hardware: u16,
+            newly: u16,
+            hold_ms: u64,
+            batch: usize,
+        },
+        Advance { ms: u64, awake: bool },
+        DropApp(u8),
+        DropAll,
+        Wake,
+        RoundTrip,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u8..9, 0u16..256, 0u16..256, 0u64..20_000, 0usize..4).prop_map(
+                |(app, hardware, newly, hold_ms, batch)| Op::Start {
+                    app,
+                    hardware,
+                    newly,
+                    hold_ms,
+                    batch,
+                }
+            ),
+            (0u64..6_000, any::<bool>()).prop_map(|(ms, awake)| Op::Advance { ms, awake }),
+            (0u64..6_000, any::<bool>()).prop_map(|(ms, awake)| Op::Advance { ms, awake }),
+            (0u8..9).prop_map(Op::DropApp),
+            Just(Op::DropAll),
+            Just(Op::Wake),
+            Just(Op::RoundTrip),
+        ]
+    }
+
+    /// Every observable value, as bits.
+    fn bits_of(l: &AttributionLedger) -> (Vec<(String, u64)>, u64, u64) {
+        let per_app = l.per_app().map(|(a, mj)| (a.to_owned(), mj.to_bits())).collect();
+        (per_app, l.overhead_mj().to_bits(), l.attributed_mj().to_bits())
+    }
+
+    fn reference_bits(r: &NameKeyedLedger) -> (Vec<(String, u64)>, u64, u64) {
+        let per_app = r.per_app.iter().map(|(a, mj)| (a.clone(), mj.to_bits())).collect();
+        (per_app, r.overhead_mj().to_bits(), r.attributed_mj().to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The slot ledger reproduces the name-keyed one bit for bit over
+        /// random task, segment, drop and wake sequences, and a checkpoint
+        /// round trip anywhere in the sequence changes nothing.
+        #[test]
+        fn slot_ledger_matches_the_name_keyed_reference(
+            ops in prop::collection::vec(arb_op(), 1..120),
+        ) {
+            let labels: Vec<Arc<str>> = ["mail", "maps", "news", "chat", "a,b", "a\\n", "zz", "Chat", "m"]
+                .iter()
+                .map(|&s| Arc::from(s))
+                .collect();
+            let mut slot = ledger();
+            let mut reference = NameKeyedLedger::new(PowerModel::nexus5());
+            let mut now = SimTime::ZERO;
+            for op in &ops {
+                match *op {
+                    Op::Start { app, hardware, newly, hold_ms, batch } => {
+                        let app = &labels[app as usize];
+                        let until = now + SimDuration::from_millis(hold_ms);
+                        let (hw, newly) = (HardwareSet::from_bits(hardware), HardwareSet::from_bits(newly));
+                        slot.start_task(app, hw, until, newly, batch);
+                        reference.start_task(app, hw, until, newly, batch);
+                    }
+                    Op::Advance { ms, awake } => {
+                        now += SimDuration::from_millis(ms);
+                        slot.advance_to(now, awake);
+                        reference.advance_to(now, awake);
+                    }
+                    Op::DropApp(app) => {
+                        slot.drop_app_tasks(&labels[app as usize], now);
+                        reference.drop_app_tasks(&labels[app as usize], now);
+                    }
+                    Op::DropAll => {
+                        slot.drop_all_tasks(now);
+                        reference.drop_all_tasks(now);
+                    }
+                    Op::Wake => {
+                        slot.note_wake_transition();
+                        reference.note_wake_transition();
+                    }
+                    Op::RoundTrip => {
+                        let restored = crate::checkpoint::ledger_round_trip(&slot);
+                        prop_assert_eq!(bits_of(&restored), bits_of(&slot));
+                        slot = restored;
+                    }
+                }
+                prop_assert_eq!(bits_of(&slot), reference_bits(&reference));
+            }
+            prop_assert_eq!(slot.interventions_per_app(), &reference.interventions);
+        }
     }
 }

@@ -78,7 +78,7 @@ use simty_device::power::{ComponentPower, PowerModel};
 use simty_device::wakelock::WakeLockTable;
 use simty_obs::{AttrValue, Span, SpanCollector, SpanKind, StageProfile};
 
-use crate::attribution::{ActiveTask, AttributionLedger};
+use crate::attribution::AttributionLedger;
 use crate::config::{InvariantMode, ObsLevel, SimConfig};
 use crate::degrade::{DegradationGovernor, DegradationTier, GovernorConfig};
 use crate::engine::{RetrySlot, Simulation, TaskHold};
@@ -797,6 +797,27 @@ fn write_queue(body: &mut String, key: &str, queue: &AlarmQueue) {
     }
 }
 
+/// Writes the attribution ledger, apps in name order (its power model
+/// is the config's and is not repeated).
+fn write_ledger(body: &mut String, ledger: &AttributionLedger) {
+    kv!(body, "ledger_active", ledger.active.len());
+    for t in &ledger.active {
+        kv!(body, "la", Esc(&ledger.apps[t.slot]), t.hardware, t.until);
+    }
+    kv!(body, "ledger_apps", ledger.apps.len());
+    for (app, mj) in ledger.per_app() {
+        kv!(body, "lp", Esc(app), mj);
+    }
+    kv!(body, "ledger_interventions", ledger.interventions.len());
+    for (app, n) in &ledger.interventions {
+        kv!(body, "li", Esc(app), n);
+    }
+    kv!(body, "ledger_overhead", ledger.overhead_mj);
+    kv!(body, "ledger_pending", ledger.pending_transition_mj);
+    kv!(body, "ledger_last", ledger.last);
+    kv!(body, "ledger_awake", ledger.awake);
+}
+
 /// The encoded `key=` lines of a prefix of an append-only record list.
 #[derive(Debug, Default)]
 struct Lines {
@@ -1042,23 +1063,7 @@ pub(crate) fn capture(sim: &Simulation) -> Checkpoint {
     cached.write(body, &sim.trace);
 
     // Attribution ledger (its power model is config.power; not repeated).
-    let ledger = &sim.ledger;
-    kv!(body, "ledger_active", ledger.active.len());
-    for t in &ledger.active {
-        kv!(body, "la", Esc(&t.app), t.hardware, t.until);
-    }
-    kv!(body, "ledger_apps", ledger.per_app.len());
-    for (app, mj) in &ledger.per_app {
-        kv!(body, "lp", Esc(app), mj);
-    }
-    kv!(body, "ledger_interventions", ledger.interventions.len());
-    for (app, n) in &ledger.interventions {
-        kv!(body, "li", Esc(app), n);
-    }
-    kv!(body, "ledger_overhead", ledger.overhead_mj);
-    kv!(body, "ledger_pending", ledger.pending_transition_mj);
-    kv!(body, "ledger_last", ledger.last);
-    kv!(body, "ledger_awake", ledger.awake);
+    write_ledger(body, &sim.ledger);
 
     // Fault-injection runtime.
     match &sim.faults {
@@ -1684,6 +1689,47 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Reads the ledger [`write_ledger`] wrote, re-interning its apps.
+fn read_ledger(p: &mut Parser<'_>, model: PowerModel) -> Result<AttributionLedger, CheckpointError> {
+    let mut ledger = AttributionLedger::new(model);
+    let n = p.count("ledger_active")?;
+    let mut active = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = p.kv("la")?;
+        let f = p.fields::<3>(v)?;
+        active.push((p.label(f[0]), p.hardware_of(f[1])?, p.time(f[2])?));
+    }
+    let n = p.count("ledger_apps")?;
+    for _ in 0..n {
+        let v = p.kv("lp")?;
+        let f = p.fields::<2>(v)?;
+        let mj = p.f64_of(f[1])?;
+        ledger.restore_app(&p.label(f[0]), mj);
+    }
+    for (app, hardware, until) in &active {
+        ledger.restore_task(app, *hardware, *until);
+    }
+    let n = p.count("ledger_interventions")?;
+    for _ in 0..n {
+        let v = p.kv("li")?;
+        let f = p.fields::<2>(v)?;
+        ledger.interventions.insert(unesc(f[0]), p.u64_of(f[1])?);
+    }
+    ledger.overhead_mj = p.kv_f64("ledger_overhead")?;
+    ledger.pending_transition_mj = p.kv_f64("ledger_pending")?;
+    ledger.last = p.kv_time("ledger_last")?;
+    ledger.awake = p.kv_bool("ledger_awake")?;
+    Ok(ledger)
+}
+
+/// Writes `ledger` as a checkpoint section and reads it back.
+#[cfg(test)]
+pub(crate) fn ledger_round_trip(ledger: &AttributionLedger) -> AttributionLedger {
+    let mut body = String::new();
+    write_ledger(&mut body, ledger);
+    read_ledger(&mut Parser::new(&body), ledger.model.clone()).expect("a written ledger reads back")
+}
+
 /// Rebuilds a [`Simulation`] from `checkpoint` under `policy`.
 ///
 /// Policies are stateless, so the caller supplies one; it is validated
@@ -2003,41 +2049,7 @@ pub(crate) fn restore(
     }
 
     // Attribution ledger.
-    let n = p.count("ledger_active")?;
-    let mut active = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = p.kv("la")?;
-        let f = p.fields::<3>(v)?;
-        active.push(ActiveTask {
-            app: p.label(f[0]),
-            hardware: p.hardware_of(f[1])?,
-            until: p.time(f[2])?,
-        });
-    }
-    let n = p.count("ledger_apps")?;
-    let mut per_app = BTreeMap::new();
-    for _ in 0..n {
-        let v = p.kv("lp")?;
-        let f = p.fields::<2>(v)?;
-        per_app.insert(unesc(f[0]), p.f64_of(f[1])?);
-    }
-    let n = p.count("ledger_interventions")?;
-    let mut ledger_interventions = BTreeMap::new();
-    for _ in 0..n {
-        let v = p.kv("li")?;
-        let f = p.fields::<2>(v)?;
-        ledger_interventions.insert(unesc(f[0]), p.u64_of(f[1])?);
-    }
-    let ledger = AttributionLedger {
-        model: config.power.clone(),
-        active,
-        per_app,
-        interventions: ledger_interventions,
-        overhead_mj: p.kv_f64("ledger_overhead")?,
-        pending_transition_mj: p.kv_f64("ledger_pending")?,
-        last: p.kv_time("ledger_last")?,
-        awake: p.kv_bool("ledger_awake")?,
-    };
+    let ledger = read_ledger(&mut p, config.power.clone())?;
 
     // Fault runtime.
     let faults = match p.kv("faults")? {

@@ -621,21 +621,21 @@ impl Simulation {
     /// the wall clock. There, `EventDispatch` is recorded as *self* time:
     /// handlers time their own stages (queue search, delivery, checkpoint
     /// I/O), and whatever they accumulated while this batch's clock was
-    /// running is subtracted from the batch's elapsed time. The seed
-    /// profile timed the whole batch as dispatch, which made
-    /// `event_dispatch` a monolith covering >90% of stage time and hid
-    /// where the loop actually spent it.
+    /// running is subtracted from the batch's elapsed time. The batch's
+    /// two attribution-ledger advances run inside that window, so the
+    /// ledger's per-segment accrual is dispatch self time too and the
+    /// stage profile covers the whole loop.
     fn run_loop(&mut self, end: SimTime) {
         let drain = self.obs.on();
         let profile = self.obs.spans_on();
         while let Some(t) = self.events.next_due(end) {
             self.now = self.now.max(t);
+            let t0 = profile.then(Instant::now);
+            let nested0 = if profile { self.nested_stage_nanos() } else { 0 };
             // Close the attribution segment up to this instant under the
             // state that held during it, then process the whole batch and
             // re-sync.
             self.ledger.advance_to(self.now, !self.device.is_asleep());
-            let t0 = profile.then(Instant::now);
-            let nested0 = if profile { self.nested_stage_nanos() } else { 0 };
             let mut dispatched = 0u64;
             while let Some(event) = self.events.pop_at(t) {
                 self.disarm(&event.kind, event.time);
@@ -645,6 +645,7 @@ impl Simulation {
                 }
                 dispatched += 1;
             }
+            self.ledger.advance_to(self.now, !self.device.is_asleep());
             if let Some(t0) = t0 {
                 let nested = self.nested_stage_nanos() - nested0;
                 let self_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(nested);
@@ -654,7 +655,6 @@ impl Simulation {
                     dispatched,
                 );
             }
-            self.ledger.advance_to(self.now, !self.device.is_asleep());
         }
     }
 
